@@ -1,6 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"go/parser"
+	"go/token"
+	"io"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"vrsim/internal/analysis"
@@ -50,5 +57,57 @@ func TestSelfClean(t *testing.T) {
 	}
 	if suppressed == 0 {
 		t.Error("no suppressed findings at all; the justified-annotation inventory should not be empty")
+	}
+}
+
+// TestAllowNamesRegisteredPass: every //vrlint:allow annotation in the
+// module's packages names a registered pass or "all". Suppression matches
+// names without checking them, so an annotation naming a retired or
+// misspelled pass would otherwise be ignored without a word. The check
+// parses comments only, so it runs under -short too.
+func TestAllowNamesRegisteredPass(t *testing.T) {
+	known := map[string]bool{"all": true}
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
+	for _, a := range moduleAnalyzers {
+		known[a.Name] = true
+	}
+	out, err := exec.Command("go", "list", "-find", "-json=Dir,GoFiles", "vrsim/...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	fset := token.NewFileSet()
+	annotations := 0
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var pkg struct {
+			Dir     string
+			GoFiles []string
+		}
+		if err := dec.Decode(&pkg); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("go list: decoding output: %v", err)
+		}
+		for _, name := range pkg.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(pkg.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					for _, n := range analysis.ParseAllow(c.Text) {
+						annotations++
+						if !known[n] {
+							t.Errorf("%s: //vrlint:allow names %q, which is not a registered pass", fset.Position(c.Pos()), n)
+						}
+					}
+				}
+			}
+		}
+	}
+	if annotations == 0 {
+		t.Error("found no //vrlint:allow annotations at all; the package listing is wrong")
 	}
 }

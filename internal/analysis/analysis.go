@@ -187,9 +187,9 @@ type suppressions struct {
 	files  []*ast.File
 }
 
-// parseAllow extracts the analyzer names from one comment, or nil if the
+// ParseAllow extracts the analyzer names from one comment, or nil if the
 // comment is not an allow annotation.
-func parseAllow(text string) []string {
+func ParseAllow(text string) []string {
 	names, _ := parseAllowReason(text)
 	return names
 }

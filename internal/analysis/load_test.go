@@ -54,14 +54,14 @@ func TestParseAllow(t *testing.T) {
 		{"// plain comment", nil},
 	}
 	for _, c := range cases {
-		got := parseAllow(c.text)
+		got := ParseAllow(c.text)
 		if len(got) != len(c.want) {
-			t.Errorf("parseAllow(%q) = %v, want %v", c.text, got, c.want)
+			t.Errorf("ParseAllow(%q) = %v, want %v", c.text, got, c.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("parseAllow(%q) = %v, want %v", c.text, got, c.want)
+				t.Errorf("ParseAllow(%q) = %v, want %v", c.text, got, c.want)
 			}
 		}
 	}
