@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint check chaos bench benchdiff budget budgetcheck
+.PHONY: build test lint check chaos bench benchdiff
 
 build:
 	$(GO) build ./...
@@ -31,22 +31,6 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	./scripts/chaos_smoke.sh
-
-# Regenerate the committed budget baselines: census.json (hotalloc's
-# steady-state allocation census) and codegen.json (the bce/devirt/
-# inlinecost codegen-quality budget). Run after an intentional change to
-# the cycle closure and commit the diff — CI fails on any drift the
-# baselines don't reflect. Both artifacts embed compiler verdicts, so
-# regenerate with the same toolchain CI pins.
-budget:
-	$(GO) run ./cmd/vrlint -census census.json -codegen codegen.json ./...
-
-# Budget drift gate (what CI runs): regenerate both artifacts into /tmp
-# and require them byte-identical to the committed baselines.
-budgetcheck:
-	$(GO) run ./cmd/vrlint -census /tmp/vrsim_census.json -codegen /tmp/vrsim_codegen.json ./...
-	diff -u census.json /tmp/vrsim_census.json
-	diff -u codegen.json /tmp/vrsim_codegen.json
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

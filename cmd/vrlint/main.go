@@ -1,17 +1,14 @@
 // Command vrlint is the simulator-invariant multichecker: it runs the
-// thirteen vrsim-specific static-analysis passes — six per-package
-// (simdet, panicfree, cyclesafe, cfgflow, exhaustive, boundcheck) and
-// seven module-scope (statsflow, hotalloc, lockcheck, observe, bce,
-// devirt, inlinecost) — over the repository and fails when any invariant
-// is violated. See DESIGN.md "Static invariants" for what each pass
-// encodes and the `//vrlint:allow` suppression syntax.
+// nine vrsim-specific static-analysis passes — six per-package (simdet,
+// panicfree, cyclesafe, cfgflow, exhaustive, boundcheck) and three
+// module-scope (statsflow, lockcheck, observe) — over the repository and
+// fails when any invariant is violated. See DESIGN.md "Static invariants"
+// for what each pass encodes and the `//vrlint:allow` suppression syntax.
 //
 // Standalone usage (what `make lint` runs):
 //
 //	vrlint [packages...]           # default ./...
 //	vrlint -json [packages...]     # machine-readable findings (incl. suppressed)
-//	vrlint -census FILE [pkgs...]  # also write hotalloc's allocation census JSON
-//	vrlint -codegen FILE [pkgs...] # also write the bce/devirt/inlinecost codegen budget JSON
 //	vrlint -list                   # describe the passes and exit
 //
 // vrlint also speaks the `go vet -vettool` unit-checker protocol: when
@@ -36,14 +33,10 @@ import (
 	"strings"
 
 	"vrsim/internal/analysis"
-	"vrsim/internal/analysis/bce"
 	"vrsim/internal/analysis/boundcheck"
 	"vrsim/internal/analysis/cfgflow"
-	"vrsim/internal/analysis/devirt"
 	"vrsim/internal/analysis/cyclesafe"
 	"vrsim/internal/analysis/exhaustive"
-	"vrsim/internal/analysis/hotalloc"
-	"vrsim/internal/analysis/inlinecost"
 	"vrsim/internal/analysis/lockcheck"
 	"vrsim/internal/analysis/observe"
 	"vrsim/internal/analysis/panicfree"
@@ -55,14 +48,7 @@ import (
 // results; bump it when a pass changes behaviour. The numeric part is
 // also echoed in `-json` output so downstream tooling can detect schema
 // drift.
-const version = "vrlint version 4.0.0"
-
-// schemas of the machine-readable artifacts vrlint emits; bump alongside
-// any field change so baseline diffs fail loudly instead of silently.
-const (
-	censusSchema  = "vrsim-hotalloc-census/v1"
-	codegenSchema = "vrsim-codegen-budget/v1"
-)
+const version = "vrlint version 5.0.0"
 
 // analyzers is the multichecker's per-package pass set.
 var analyzers = []*analysis.Analyzer{
@@ -77,12 +63,8 @@ var analyzers = []*analysis.Analyzer{
 // moduleAnalyzers is the whole-module pass set (standalone mode only).
 var moduleAnalyzers = []*analysis.ModuleAnalyzer{
 	statsflow.Analyzer,
-	hotalloc.Analyzer,
 	lockcheck.Analyzer,
 	observe.Analyzer,
-	bce.Analyzer,
-	devirt.Analyzer,
-	inlinecost.Analyzer,
 }
 
 func main() {
@@ -91,8 +73,6 @@ func main() {
 		printFlags   = flag.Bool("flags", false, "print analyzer flags as JSON (go vet protocol)")
 		list         = flag.Bool("list", false, "describe the passes and exit")
 		jsonOut      = flag.Bool("json", false, "emit findings as JSON, including suppressed ones")
-		censusFile   = flag.String("census", "", "write hotalloc's steady-state allocation census to this JSON file")
-		codegenFile  = flag.String("codegen", "", "write the bce/devirt/inlinecost codegen budget to this JSON file")
 	)
 	flag.Parse()
 
@@ -117,84 +97,7 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(vetUnit(args[0]))
 	}
-	os.Exit(standalone(args, *jsonOut, *censusFile, *codegenFile))
-}
-
-// censusArtifact is the envelope of the `-census` JSON artifact.
-type censusArtifact struct {
-	Schema string          `json:"schema"`
-	Sites  []hotalloc.Site `json:"sites"`
-}
-
-// writeCensus emits hotalloc's allocation census — every steady-state
-// heap-allocation site in the cycle-reachable closure, suppressed or
-// not, with its justification — as the baseline artifact for the perf
-// overhaul.
-func writeCensus(pkgs []*analysis.Package, file string) error {
-	sites, err := hotalloc.Census(pkgs)
-	if err != nil {
-		return err
-	}
-	if sites == nil {
-		sites = []hotalloc.Site{}
-	}
-	return writeJSON(file, censusArtifact{Schema: censusSchema, Sites: sites})
-}
-
-// codegenArtifact is the envelope of the `-codegen` JSON artifact: the
-// merged bce/devirt/inlinecost budget, the sibling of the census.
-type codegenArtifact struct {
-	Schema  string                  `json:"schema"`
-	Entries []analysis.CodegenEntry `json:"entries"`
-}
-
-// writeCodegen emits the codegen-quality budget: every surviving bounds
-// check, interface dispatch and uninlinable function in the
-// cycle-reachable closure. Cross-validation mismatches (a compiler
-// record the AST model cannot anchor, or a reachable declaration with no
-// inline verdict) are hard errors — a drifted budget is worse than none.
-func writeCodegen(pkgs []*analysis.Package, file string) error {
-	bceRes, bceEntries, err := bce.Budget(pkgs)
-	if err != nil {
-		return fmt.Errorf("bce: %w", err)
-	}
-	if len(bceRes.Mismatches) > 0 {
-		m := bceRes.Mismatches[0]
-		return fmt.Errorf("bce: %d unanchored check_bce record(s), first at %s:%d:%d: %s",
-			len(bceRes.Mismatches), m.File, m.Line, m.Col, m.Message)
-	}
-	_, devirtEntries, err := devirt.Budget(pkgs)
-	if err != nil {
-		return fmt.Errorf("devirt: %w", err)
-	}
-	inlRes, inlEntries, err := inlinecost.Budget(pkgs)
-	if err != nil {
-		return fmt.Errorf("inlinecost: %w", err)
-	}
-	if len(inlRes.Mismatches) > 0 {
-		return fmt.Errorf("inlinecost: no inline verdict for reachable %s", strings.Join(inlRes.Mismatches, ", "))
-	}
-	entries := make([]analysis.CodegenEntry, 0, len(bceEntries)+len(devirtEntries)+len(inlEntries))
-	entries = append(entries, bceEntries...)
-	entries = append(entries, devirtEntries...)
-	entries = append(entries, inlEntries...)
-	analysis.SortCodegenEntries(entries)
-	return writeJSON(file, codegenArtifact{Schema: codegenSchema, Entries: entries})
-}
-
-// writeJSON writes one indented JSON artifact.
-func writeJSON(file string, v any) error {
-	f, err := os.Create(file)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	os.Exit(standalone(args, *jsonOut))
 }
 
 // jsonDiag is one finding in `vrlint -json` output.
@@ -222,23 +125,11 @@ func jsonVersion() string {
 // standalone loads the requested packages with the go list driver and
 // applies every pass, honoring each analyzer's Scope. Module-scope
 // analyzers run once over the full package set.
-func standalone(patterns []string, jsonOut bool, censusFile, codegenFile string) int {
+func standalone(patterns []string, jsonOut bool) int {
 	pkgs, err := analysis.Load("", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vrlint:", err)
 		return 1
-	}
-	if censusFile != "" {
-		if err := writeCensus(pkgs, censusFile); err != nil {
-			fmt.Fprintln(os.Stderr, "vrlint: census:", err)
-			return 1
-		}
-	}
-	if codegenFile != "" {
-		if err := writeCodegen(pkgs, codegenFile); err != nil {
-			fmt.Fprintln(os.Stderr, "vrlint: codegen:", err)
-			return 1
-		}
 	}
 	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {

@@ -8,8 +8,8 @@
 //
 // The simulator-specific passes live in the subpackages simdet, panicfree,
 // cyclesafe, cfgflow, exhaustive, boundcheck (per-package) and statsflow,
-// hotalloc, lockcheck, observe (module-scope); cmd/vrlint assembles them
-// into a multichecker.
+// lockcheck, observe (module-scope); cmd/vrlint assembles them into a
+// multichecker.
 // Each invariant they encode — and why determinism is load-bearing for the
 // EXPERIMENTS.md shape comparisons — is documented in DESIGN.md under
 // "Static invariants".
@@ -181,55 +181,41 @@ const AllowPrefix = "//vrlint:allow"
 // suppressions indexes every //vrlint:allow annotation in a package.
 type suppressions struct {
 	fset *token.FileSet
-	// byLine maps file -> line -> analyzer name -> justification (the
-	// text after "--", possibly empty) for annotations covering the line.
-	byLine map[string]map[int]map[string]string
+	// byLine maps file -> line -> the analyzer names of the annotations
+	// covering the line.
+	byLine map[string]map[int]map[string]bool
 	files  []*ast.File
 }
 
 // ParseAllow extracts the analyzer names from one comment, or nil if the
 // comment is not an allow annotation.
 func ParseAllow(text string) []string {
-	names, _ := parseAllowReason(text)
-	return names
-}
-
-// parseAllowReason extracts the analyzer names and the justification (the
-// trimmed text after "--") from one comment, or (nil, "") if the comment
-// is not an allow annotation.
-func parseAllowReason(text string) ([]string, string) {
 	if !strings.HasPrefix(text, AllowPrefix) {
-		return nil, ""
+		return nil
 	}
 	rest := strings.TrimPrefix(text, AllowPrefix)
 	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, "" // e.g. //vrlint:allowed — not ours
+		return nil // e.g. //vrlint:allowed — not ours
 	}
-	reason := ""
 	if i := strings.Index(rest, "--"); i >= 0 {
-		reason = strings.TrimSpace(rest[i+2:])
-		rest = rest[:i]
+		rest = rest[:i] // the justification is for human review
 	}
-	var names []string
-	for _, f := range strings.FieldsFunc(rest, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' }) {
-		names = append(names, f)
-	}
-	return names, reason
+	return strings.FieldsFunc(rest, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' })
 }
 
 func newSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
-	s := &suppressions{fset: fset, byLine: map[string]map[int]map[string]string{}, files: files}
+	s := &suppressions{fset: fset, byLine: map[string]map[int]map[string]bool{}, files: files}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, reason := parseAllowReason(c.Text)
+				names := ParseAllow(c.Text)
 				if len(names) == 0 {
 					continue
 				}
 				pos := fset.Position(c.Pos())
 				lines := s.byLine[pos.Filename]
 				if lines == nil {
-					lines = map[int]map[string]string{}
+					lines = map[int]map[string]bool{}
 					s.byLine[pos.Filename] = lines
 				}
 				// The annotation covers its own line and the next one, so
@@ -237,11 +223,11 @@ func newSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 				for _, ln := range []int{pos.Line, pos.Line + 1} {
 					set := lines[ln]
 					if set == nil {
-						set = map[string]string{}
+						set = map[string]bool{}
 						lines[ln] = set
 					}
 					for _, n := range names {
-						set[n] = reason
+						set[n] = true
 					}
 				}
 			}
@@ -250,24 +236,11 @@ func newSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 	return s
 }
 
-// lineReason returns the justification of an annotation covering
-// (filename, line) that names the analyzer, and whether one exists.
-func (s *suppressions) lineReason(name, filename string, line int) (string, bool) {
-	set := s.byLine[filename][line]
-	if r, ok := set[name]; ok {
-		return r, true
-	}
-	if r, ok := set["all"]; ok {
-		return r, true
-	}
-	return "", false
-}
-
 // lineAllows reports whether an annotation covering (filename, line)
-// names the analyzer.
+// names the analyzer, or "all".
 func (s *suppressions) lineAllows(name, filename string, line int) bool {
-	_, ok := s.lineReason(name, filename, line)
-	return ok
+	set := s.byLine[filename][line]
+	return set[name] || set["all"]
 }
 
 // covers reports whether a diagnostic from the named analyzer at pos is
@@ -275,15 +248,9 @@ func (s *suppressions) lineAllows(name, filename string, line int) bool {
 // comment of the enclosing function, or by one attached to the enclosing
 // package-level declaration.
 func (s *suppressions) covers(name string, pos token.Pos) bool {
-	_, ok := s.coversReason(name, pos)
-	return ok
-}
-
-// coversReason is covers returning the annotation's justification too.
-func (s *suppressions) coversReason(name string, pos token.Pos) (string, bool) {
 	p := s.fset.Position(pos)
-	if r, ok := s.lineReason(name, p.Filename, p.Line); ok {
-		return r, true
+	if s.lineAllows(name, p.Filename, p.Line) {
+		return true
 	}
 	for _, f := range s.files {
 		if f.Pos() > pos || f.End() < pos {
@@ -307,28 +274,18 @@ func (s *suppressions) coversReason(name string, pos token.Pos) (string, bool) {
 			dp := s.fset.Position(decl.Pos())
 			// An annotation anywhere in the declaration's doc comment, or
 			// on the line just above the declaration, covers all of it.
-			if r, ok := s.lineReason(name, dp.Filename, dp.Line); ok {
-				return r, true
+			if s.lineAllows(name, dp.Filename, dp.Line) {
+				return true
 			}
 			if doc != nil {
 				for ln := s.fset.Position(doc.Pos()).Line; ln <= s.fset.Position(doc.End()).Line; ln++ {
-					if r, ok := s.lineReason(name, dp.Filename, ln); ok {
-						return r, true
+					if s.lineAllows(name, dp.Filename, ln) {
+						return true
 					}
 				}
 			}
-			return "", false
+			return false
 		}
 	}
-	return "", false
-}
-
-// Justification returns the //vrlint:allow justification text covering a
-// diagnostic from the named analyzer at pos, resolving coverage exactly
-// like suppression does. The boolean reports whether any covering
-// annotation exists (its justification may still be empty). The hotalloc
-// census uses this to carry each allowed site's reason into the JSON
-// artifact.
-func Justification(fset *token.FileSet, files []*ast.File, name string, pos token.Pos) (string, bool) {
-	return newSuppressions(fset, files).coversReason(name, pos)
+	return false
 }

@@ -117,33 +117,6 @@ func RunModule(t *testing.T, a *analysis.ModuleAnalyzer, pkgPaths ...string) {
 	}
 }
 
-// LoadPackages loads the named testdata packages (rooted at srcRoot, the
-// analyzer's testdata/src directory) into one shared FileSet and returns
-// them, for tests that drive a pass's library entry points (e.g. the
-// hotalloc census) directly rather than through want-comment checking.
-func LoadPackages(t *testing.T, srcRoot string, pkgPaths ...string) []*analysis.Package {
-	t.Helper()
-	abs, err := filepath.Abs(srcRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld := &loader{
-		srcRoot: abs,
-		fset:    token.NewFileSet(),
-		cache:   map[string]*analysis.Package{},
-	}
-	ld.std = importer.ForCompiler(ld.fset, "gc", ld.stdExport)
-	var pkgs []*analysis.Package
-	for _, path := range pkgPaths {
-		pkg, err := ld.load(path)
-		if err != nil {
-			t.Fatalf("loading testdata package %s: %v", path, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs
-}
-
 // loader resolves testdata imports from the testdata/src tree and
 // standard-library imports via go list -export.
 type loader struct {

@@ -113,7 +113,7 @@ func TestMarkSuppressed(t *testing.T) {
 }
 
 // TestModuleScopeSuppression pins the suppression path the module-scope
-// passes (statsflow, hotalloc, lockcheck, observe) take: a ModulePass
+// passes (statsflow, lockcheck, observe) take: a ModulePass
 // resolves //vrlint:allow annotations across the files of *every* loaded
 // package, so an annotation in one package silences a finding the pass
 // reported there even when the pass itself was driven from another
@@ -122,7 +122,7 @@ func TestMarkSuppressed(t *testing.T) {
 func TestModuleScopeSuppression(t *testing.T) {
 	const otherSrc = `package q
 
-//vrlint:allow hotalloc -- steady-state scratch, pooled by the PR-8 overhaul
+//vrlint:allow lockcheck -- written once, before any goroutine starts
 var scratch []int
 
 var bare int
@@ -137,7 +137,7 @@ var bare int
 		t.Fatalf("parse q: %v", err)
 	}
 	pass := &ModulePass{
-		Analyzer: &ModuleAnalyzer{Name: "hotalloc"},
+		Analyzer: &ModuleAnalyzer{Name: "lockcheck"},
 		Fset:     fset,
 		Pkgs: []*Package{
 			{PkgPath: "vrsim/p", Fset: fset, Files: []*ast.File{pfile}},
@@ -147,12 +147,12 @@ var bare int
 	lineStart := func(f *ast.File, line int) token.Pos {
 		return fset.File(f.Pos()).LineStart(line)
 	}
-	pass.Reportf(lineStart(qfile, 4), "alloc under module-scope allow")
-	pass.Reportf(lineStart(qfile, 6), "alloc with no annotation")
+	pass.Reportf(lineStart(qfile, 4), "finding under module-scope allow")
+	pass.Reportf(lineStart(qfile, 6), "finding with no annotation")
 	// A finding in p: suppressSrc's line-5 annotation names simdet, not
-	// hotalloc, so a module pass with a different name must not be
+	// lockcheck, so a module pass with a different name must not be
 	// silenced by it (wrong-pass edge, module scope).
-	pass.Reportf(lineStart(pfile, 6), "alloc under another pass's allow")
+	pass.Reportf(lineStart(pfile, 6), "finding under another pass's allow")
 
 	all := pass.AllDiagnostics()
 	if len(all) != 3 {
@@ -176,36 +176,6 @@ var bare int
 	vis := pass.Diagnostics()
 	if len(vis) != 2 {
 		t.Errorf("Diagnostics: got %d findings, want 2 (suppressed one dropped): %v", len(vis), vis)
-	}
-}
-
-// TestJustification pins the exported Justification helper the hotalloc
-// census uses to carry each allowed site's reason into the JSON
-// artifact: the reason text round-trips, a justification-free allow
-// still covers (with an empty reason), and an annotation never answers
-// for a pass it does not name.
-func TestJustification(t *testing.T) {
-	fset, file := parseSuppressSrc(t)
-	files := []*ast.File{file}
-
-	reason, ok := Justification(fset, files, "simdet", posAt(t, fset, file, 6))
-	if !ok || reason != "justified: read-only table" {
-		t.Errorf("line 6 simdet: got (%q, %v), want the annotated reason", reason, ok)
-	}
-	// Line 13's allow has no `-- reason`: covered, empty justification.
-	reason, ok = Justification(fset, files, "cyclesafe", posAt(t, fset, file, 13))
-	if !ok || reason != "" {
-		t.Errorf("line 13 cyclesafe: got (%q, %v), want (\"\", true)", reason, ok)
-	}
-	// Doc-comment annotation: every line of the declaration resolves to
-	// the doc's reason.
-	reason, ok = Justification(fset, files, "panicfree", posAt(t, fset, file, 20))
-	if !ok || reason != "constructor cannot recurse" {
-		t.Errorf("line 20 panicfree: got (%q, %v), want the doc-comment reason", reason, ok)
-	}
-	// Wrong pass: no covering annotation, no reason.
-	if reason, ok := Justification(fset, files, "hotalloc", posAt(t, fset, file, 6)); ok {
-		t.Errorf("line 6 hotalloc: got (%q, true), want no coverage", reason)
 	}
 }
 

@@ -60,8 +60,6 @@ func fold(history uint64, histLen, width uint) uint32 {
 }
 
 // index computes the folded-history table index.
-//
-//vrlint:allow inlinecost -- cost 92: the two fold calls are the hash itself; nothing to split off
 func (tt *tageTable) index(pc int, history uint64) uint32 {
 	return (uint32(pc) ^ fold(history, tt.histLen, 10) ^ fold(history, tt.histLen/2+1, 7)) & tt.mask
 }
@@ -83,8 +81,6 @@ func (t *TAGE) lookup(pc int, hist uint64) (table int, idx uint32) {
 }
 
 // Predict implements Predictor.
-//
-//vrlint:allow inlinecost -- cost 99: straight-line tag match over the provider chain; splitting adds a call per lookup
 func (t *TAGE) Predict(pc int, hist uint64) bool {
 	if ti, idx := t.lookup(pc, hist); ti >= 0 {
 		return t.tables[ti].entries[idx].ctr >= 4

@@ -88,8 +88,6 @@ func (v *VR) inferLoopBound(strideIn isa.Instr) loopBound {
 // maskBeyondBound masks lanes whose induction value would already have
 // exited the loop. Lane i's induction value is the walker's current index
 // plus (i+1) index steps, mirroring the lane addresses.
-//
-//vrlint:allow inlinecost -- cost 143: per-activation lane masking, not per-cycle; revisit in the cycle-core overhaul
 func (v *VR) maskBeyondBound(lb loopBound, strideIn isa.Instr) {
 	if !lb.found || !v.w.valid[lb.induc] {
 		return

@@ -495,8 +495,6 @@ type RegContext struct {
 // ApproxContext builds the runahead register context and the PC to
 // pre-execute from (the oldest unfinished instruction, normally the
 // blocking load at the ROB head).
-//
-//vrlint:allow inlinecost -- cost 147: runs once per runahead activation; the register snapshot is the work
 func (c *Core) ApproxContext() (ctx RegContext, startPC int) {
 	ctx.Regs = c.archRegs
 	for i := range ctx.Valid {
@@ -857,8 +855,6 @@ func (c *Core) retire(e *robEntry) {
 // dropStoreSlow is the cold fallback of retire's store-ring pop: a
 // mid-ring removal that by construction never runs (storeDropScans counts
 // it; tests pin it at zero).
-//
-//vrlint:allow inlinecost -- cost 90: cold by construction — the fast path pops the ring front and tests pin storeDropScans at zero
 func (c *Core) dropStoreSlow(slot int) {
 	c.storeDropScans++
 	s := c.stores
@@ -900,8 +896,6 @@ func (c *Core) dropIssuedLoad(slot int) {
 // ---- issue / execute ----
 
 // operand fetches the value of source k of entry e, reporting readiness.
-//
-//vrlint:allow inlinecost -- cost 82: two over budget from the index mask that keeps the src-array accesses bounds-check-free
 func (c *Core) operand(e *robEntry, k int) (uint64, bool) {
 	k &= 3 // identity for k in 0..2; proves the src-array accesses in bounds
 	slot := e.srcRob[k]
@@ -1219,8 +1213,6 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 // forward looks for the youngest older in-flight store to the same word.
 // A resolved match forwards (or delays the load until the value is ready);
 // unresolved older stores are speculated past.
-//
-//vrlint:allow inlinecost -- cost 91: the ring guard that removes the scan's per-iteration bounds checks costs more statically than it saved
 func (c *Core) forward(loadSeq uint64, addr uint64) (fwd bool, val uint64, ready bool) {
 	word := addr >> 3
 	s := c.stores

@@ -202,9 +202,6 @@ func (in Instr) hasSrc2() bool {
 
 // Sources appends the architectural registers the instruction reads to dst
 // and returns the extended slice. Store-value registers are included.
-//
-//vrlint:allow hotalloc -- appends at most 3 regs, always within caller-provided capacity; never grows
-//vrlint:allow inlinecost -- cost 84: flat per-class source enumeration; a split would cost the call it saves
 func (in Instr) Sources(dst []Reg) []Reg {
 	if in.hasSrc1() {
 		dst = append(dst, in.Src1)

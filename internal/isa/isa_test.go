@@ -371,9 +371,8 @@ func TestBuildRejectsRZeroWrites(t *testing.T) {
 	}
 }
 
-// TestSourcesBoundedOverEveryOpcode pins the allocation-census
-// justification on (Instr).Sources: for every opcode it appends at most
-// 3 registers — exactly the opcode's true data sources — and never grows
+// TestSourcesBoundedOverEveryOpcode pins why (Instr).Sources is
+// allocation-free: for every opcode it appends at most 3 registers — exactly the opcode's true data sources — and never grows
 // past a caller-provided capacity of 3, so a caller reusing a
 // cap-3 scratch slice allocates nothing.
 func TestSourcesBoundedOverEveryOpcode(t *testing.T) {

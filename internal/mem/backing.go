@@ -108,8 +108,6 @@ func (b *Backing) Load(addr uint64) uint64 {
 // Store writes the 64-bit word at addr (aligned down). A write to one of
 // the last recentPages private pages Store reached through the map skips
 // the map.
-//
-//vrlint:allow hotalloc,inlinecost -- sparse page fault-in and copy-on-write: one allocation per touched page, amortized over the run; cost 120: the map path is the slow path, and splitting it off leaves both halves near the budget
 func (b *Backing) Store(addr, val uint64) {
 	key := addr >> pageShift
 	for _, r := range b.recent {

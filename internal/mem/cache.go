@@ -86,8 +86,6 @@ func (c *Cache) set(line uint64) []cacheLine {
 // Lookup probes for the line (a line number, i.e. addr/LineSize). On hit it
 // updates recency, clears the unused-prefetch mark, and returns the fill
 // source recorded for the line. It does not count stats; Hierarchy does.
-//
-//vrlint:allow inlinecost -- cost 87: the associative way scan is the lookup; nothing cold to split
 func (c *Cache) Lookup(line uint64, isWrite bool) (src PrefetchSource, wasUnused, hit bool) {
 	set := c.set(line)
 	for i := range set {

@@ -161,7 +161,6 @@ func (fi *FaultInjector) Config() FaultConfig { return fi.cfg }
 // count comes up.
 //
 //vrlint:allow panicfree -- injected fault: this panic IS the chaos-test payload RunSupervised must catch
-//vrlint:allow inlinecost -- cost 87: fault checks only run with injection enabled, off the measured fast path
 func (fi *FaultInjector) onDemandAccess() {
 	fi.Stats.DemandSeen++
 	if fi.cfg.PanicAfter != 0 && fi.Stats.DemandSeen == fi.cfg.PanicAfter {
@@ -171,8 +170,6 @@ func (fi *FaultInjector) onDemandAccess() {
 
 // dramExtra returns additional DRAM fill latency for one access: a seeded
 // latency spike.
-//
-//vrlint:allow inlinecost -- cost 105: fault checks only run with injection enabled, off the measured fast path
 func (fi *FaultInjector) dramExtra() (extra uint64) {
 	if fi.cfg.LatencySpikeProb > 0 && fi.rng.Float64() < fi.cfg.LatencySpikeProb {
 		fi.Stats.LatencySpikes++
@@ -196,8 +193,6 @@ func (fi *FaultInjector) missExtra(class Class) (extra uint64) {
 }
 
 // dropPrefetch reports whether this hardware prefetch should be discarded.
-//
-//vrlint:allow inlinecost -- cost 102: fault checks only run with injection enabled, off the measured fast path
 func (fi *FaultInjector) dropPrefetch() bool {
 	if fi.cfg.DropPrefetchProb > 0 && fi.rng.Float64() < fi.cfg.DropPrefetchProb {
 		fi.Stats.PrefetchDrops++
@@ -208,8 +203,6 @@ func (fi *FaultInjector) dropPrefetch() bool {
 
 // starveCycles returns the extra wait a primary miss pays when forced MSHR
 // exhaustion fires.
-//
-//vrlint:allow inlinecost -- cost 104: fault checks only run with injection enabled, off the measured fast path
 func (fi *FaultInjector) starveCycles() uint64 {
 	if fi.cfg.MSHRStarveProb > 0 && fi.rng.Float64() < fi.cfg.MSHRStarveProb {
 		fi.Stats.MSHRStarves++

@@ -63,8 +63,6 @@ func (m *MSHRFile) expire(cycle uint64) {
 // Outstanding returns the completion cycle and requesting source if the
 // line already has an MSHR allocated at the given cycle (a secondary miss
 // that merges).
-//
-//vrlint:allow inlinecost -- cost 108: expiry sweep plus merge scan over a config-bounded file; split in the overhaul if it shows up
 func (m *MSHRFile) Outstanding(line uint64, cycle uint64) (done uint64, src PrefetchSource, ok bool) {
 	m.expire(cycle)
 	for i := 0; i < m.n; i++ {
@@ -130,8 +128,6 @@ func (m *MSHRFile) Acquire(cycle uint64) (start uint64) {
 
 // TryAcquire allocates an MSHR only if one is free at cycle; prefetchers
 // use it so they never stall (a full file just drops the prefetch).
-//
-//vrlint:allow inlinecost -- cost 96: expiry sweep dominates; shared with Outstanding, owned by the overhaul
 func (m *MSHRFile) TryAcquire(cycle uint64) bool {
 	m.expire(cycle)
 	if m.n >= m.capacity {

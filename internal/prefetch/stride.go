@@ -43,8 +43,6 @@ func NewStrideTable(entries int) *StrideTable {
 
 // Observe records one access by the load at pc to addr and returns the
 // entry after the update. The returned entry is valid until the next call.
-//
-//vrlint:allow hotalloc -- entry appends are bounded by the configured table size; pooled by the PR-8 overhaul
 func (t *StrideTable) Observe(pc int, addr uint64) *StrideEntry {
 	t.clock++
 	// Hit?
