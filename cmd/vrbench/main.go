@@ -50,14 +50,10 @@
 // redispatches with identical inputs. Tables and JSON are byte-identical
 // to -isolate=off at every -parallel setting.
 //
-// Fault injection is scoped per cell by default: each cell derives its own
-// injector from (-faultseed, workload, technique, cell index), so the
-// fault sequence a cell sees never depends on execution order and
-// count-based faults (panic=N, hang=N) count per cell. The legacy
-// behaviour — one injector shared across the whole campaign, count-based
-// faults firing in exactly one cell — survives as -faultscope=campaign,
-// which forces serial execution (it is incompatible with -parallel N>1,
-// -retries and -checkpoint).
+// Fault injection is scoped per cell: each cell derives its own injector
+// from (-faultseed, workload, technique, cell index), so the fault
+// sequence a cell sees never depends on execution order and count-based
+// faults (panic=N, hang=N) count per cell.
 package main
 
 import (
@@ -107,7 +103,6 @@ func run() int {
 		format     = flag.String("format", "text", "output format: text|json")
 		faults     = flag.String("faults", "", "fault injection spec, comma-separated k=v: spike=P,spikecycles=N,drop=P,starve=P,starvecycles=N,panic=N,hang=N")
 		faultSeed  = flag.Int64("faultseed", 1, "fault injection RNG seed")
-		scope      = flag.String("faultscope", "cell", "fault injection scope: cell (per-cell deterministic injectors) or campaign (one shared injector, serial execution)")
 		watchdog   = flag.Uint64("watchdog", 0, "abort a run after this many cycles without a commit (0 = default)")
 		parallelN  = flag.Int("parallel", 0, "max concurrent simulation cells (0 = GOMAXPROCS); output is byte-identical at any setting")
 		cellTO     = flag.Duration("celltimeout", 0, "wall-clock deadline per cell, e.g. 90s (0 = none)")
@@ -158,16 +153,6 @@ func run() int {
 		}()
 	}
 
-	faultScope, err := harness.ParseFaultScope(*scope)
-	if err != nil {
-		return configErr("-faultscope: %v", err)
-	}
-	if faultScope == harness.FaultScopeCampaign && *parallelN > 1 {
-		return configErr("-faultscope=campaign shares one injector across cells and requires serial execution; drop -parallel or use -faultscope=cell")
-	}
-	if faultScope == harness.FaultScopeCampaign && (*retries > 0 || *checkpoint != "") {
-		return configErr("-faultscope=campaign threads one injector's state through every cell in order; -retries and -checkpoint are incompatible with it")
-	}
 	if *parallelN < 0 {
 		return configErr("-parallel %d: want >= 0", *parallelN)
 	}
@@ -175,9 +160,6 @@ func run() int {
 	case "off", "process":
 	default:
 		return configErr("-isolate %q: want off or process", *isolate)
-	}
-	if *isolate == "process" && faultScope == harness.FaultScopeCampaign {
-		return configErr("-faultscope=campaign shares one live injector across cells, which cannot cross a process boundary; use -faultscope=cell with -isolate=process")
 	}
 	if *retries < 0 {
 		return configErr("-retries %d: want >= 0", *retries)
@@ -190,7 +172,6 @@ func run() int {
 		MaxBudget:      *budget,
 		WatchdogCycles: *watchdog,
 		Parallel:       *parallelN,
-		FaultScope:     faultScope,
 		CellTimeout:    *cellTO,
 		MaxRetries:     *retries,
 		RetryBackoff:   *backoff,
@@ -211,12 +192,6 @@ func run() int {
 			return configErr("-faults: %v", err)
 		}
 		opt.Faults = fc
-		if faultScope == harness.FaultScopeCampaign {
-			// One injector for all of -exp all, so count-based faults
-			// (panic=N, hang=N) fire in exactly one cell of the whole
-			// campaign — not one per experiment sweep.
-			opt.FaultInjector = mem.NewFaultInjector(fc)
-		}
 	}
 
 	if *isolate == "process" {

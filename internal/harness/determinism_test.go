@@ -170,11 +170,10 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCellScopeIsOrderIndependent: under the default per-cell fault
-// scope, a cell's fault sequence is a function of its identity alone — so
-// an experiment's faulted cells must not change when an unrelated
-// experiment runs first (the exact coupling the legacy shared injector
-// exhibited across `-exp all`).
+// TestCellScopeIsOrderIndependent: with per-cell fault injectors, a
+// cell's fault sequence is a function of its identity alone — so an
+// experiment's faulted cells must not change when an unrelated experiment
+// runs first.
 func TestCellScopeIsOrderIndependent(t *testing.T) {
 	opt := Options{
 		MaxBudget: 20_000,
@@ -198,24 +197,6 @@ func TestCellScopeIsOrderIndependent(t *testing.T) {
 	}
 	if alone.String() != after.String() {
 		t.Errorf("cell-scoped faults depend on campaign history:\n--- alone:\n%s\n--- after F11:\n%s", alone.String(), after.String())
-	}
-}
-
-// TestCampaignScopeForcesSerial: a shared injector is only deterministic
-// when cells execute in declaration order, so campaign scope must clamp
-// the worker pool to 1 regardless of the Parallel setting.
-func TestCampaignScopeForcesSerial(t *testing.T) {
-	opt := Options{Parallel: 8, FaultScope: FaultScopeCampaign}
-	if got := opt.parallel(); got != 1 {
-		t.Errorf("campaign scope parallel() = %d, want 1", got)
-	}
-	opt = Options{Parallel: 8}
-	opt.FaultInjector = mem.NewFaultInjector(mem.FaultConfig{Seed: 1, DropPrefetchProb: 0.5})
-	if got := opt.parallel(); got != 1 {
-		t.Errorf("explicit shared injector parallel() = %d, want 1", got)
-	}
-	if got := (&Options{Parallel: 8}).parallel(); got != 8 {
-		t.Errorf("cell scope parallel() = %d, want 8", got)
 	}
 }
 

@@ -41,18 +41,11 @@ type Options struct {
 	// are byte-identical at every setting.
 	Parallel int
 	// Faults configures deterministic memory fault injection. The zero
-	// value disables injection.
+	// value disables injection. Every cell attempt gets a private
+	// injector seeded from its identity (mem.FaultConfig.ForCellAttempt),
+	// so its fault sequence is independent of execution order and
+	// count-based faults like PanicAfter count per cell.
 	Faults mem.FaultConfig
-	// FaultScope selects per-cell injectors (the default: each cell's
-	// fault sequence is derived from its identity, independent of
-	// execution order) or one campaign-shared injector. Campaign scope
-	// forces serial execution.
-	FaultScope FaultScope
-	// FaultInjector, when non-nil, is the campaign-shared injector: every
-	// cell uses it, count-based faults like PanicAfter fire in exactly one
-	// cell of the whole campaign, and execution is forced serial. Setting
-	// it implies FaultScopeCampaign.
-	FaultInjector *mem.FaultInjector
 	// CellTimeout bounds each cell's wall-clock time (0 = no deadline): a
 	// cell that exceeds it aborts with ErrCellTimeout and a machine
 	// snapshot, freeing its worker slot. The deadline is enforced by a
@@ -63,8 +56,7 @@ type Options struct {
 	// (RunError.Transient: timeouts and watchdog trips) up to this many
 	// additional attempts, each with a fault seed derived for that attempt
 	// (mem.FaultConfig.ForCellAttempt). Permanent failures — bad configs,
-	// panics, cancellation — never retry. Ignored under campaign-scoped
-	// faults, whose shared injector would make retries order-dependent.
+	// panics, cancellation — never retry.
 	MaxRetries int
 	// RetryBackoff is the base delay before the first retry, doubling per
 	// attempt (deterministic, no jitter; capped at base<<6). 0 retries
@@ -75,15 +67,11 @@ type Options struct {
 	// becomes Pool.Run, which dispatches the cell — with its fault seed
 	// already derived for the attempt — to a supervised child process
 	// and survives that process's death by redispatching. Results are
-	// byte-identical to in-process execution. Ignored under
-	// campaign-scoped faults, whose shared live injector cannot cross a
-	// process boundary.
+	// byte-identical to in-process execution.
 	Pool *WorkerPool
 	// Journal, when non-nil, records every completed cell for
 	// checkpoint/resume: cells present in the journal replay their stored
-	// outcome instead of re-simulating. Incompatible with campaign-scoped
-	// faults (the shared injector's state depends on every cell actually
-	// executing); the sweep engine ignores the journal in that case.
+	// outcome instead of re-simulating.
 	Journal *Journal
 	// Ctx, when non-nil, soft-cancels the campaign: once done, cells that
 	// have not started are marked cancelled — rendered as ERR cells plus a

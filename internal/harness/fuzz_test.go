@@ -180,7 +180,7 @@ func FuzzConfigValidate(f *testing.F) {
 // yield exactly that prefix's records.
 func FuzzJournalDecode(f *testing.F) {
 	hdr, _ := json.Marshal(journalHeader{Journal: journalMagic, Version: journalVersion,
-		Fingerprint: Fingerprint{Module: "vrsim@test", MaxBudget: 1000, FaultScope: "cell"}})
+		Fingerprint: Fingerprint{Module: "vrsim@test", MaxBudget: 1000}})
 	rec, _ := json.Marshal(Record{Exp: "F9", Index: 0, Workload: "camel", Tech: "ooo",
 		Attempts: 1, Result: &Result{Workload: "camel", Tech: TechOoO, Cycles: 10, Instrs: 5}})
 	errRec, _ := json.Marshal(Record{Exp: "F9", Index: 1, Workload: "hj2", Tech: "vr",

@@ -67,13 +67,6 @@ type RunConfig struct {
 	// Faults configures deterministic fault injection in the memory
 	// system; the zero value disables it.
 	Faults mem.FaultConfig
-	// FaultInjector, when non-nil, is used instead of building a fresh
-	// injector from Faults. Sharing one injector across a campaign's runs
-	// lets its Nth-access faults land in whichever cell reaches them. It
-	// is live state, not configuration, so it never crosses the
-	// process-isolation wire format (which excludes campaign-shared
-	// injectors by construction).
-	FaultInjector *mem.FaultInjector `json:"-"`
 	// Check enables the cosimulation oracle and the runtime invariant
 	// checker: every architectural commit is validated against an in-order
 	// reference model over a shadow memory, and microarchitectural
@@ -237,10 +230,7 @@ func newInstance(w *workloads.Workload, rc RunConfig) (*instance, error) {
 	if rc.Tech == TechOracle {
 		hier.PerfectL1 = true
 	}
-	switch {
-	case rc.FaultInjector != nil:
-		hier.Faults = rc.FaultInjector
-	case rc.Faults.Enabled():
+	if rc.Faults.Enabled() {
 		hier.Faults = mem.NewFaultInjector(rc.Faults)
 	}
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -485,9 +486,42 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	rj.Close()
 }
 
+// TestResumeLegacyFaultScopeHeader: journals written while the
+// fingerprint still carried a FaultScope field resume. That field was
+// always "cell" in a journal, because campaign-scoped runs never
+// journaled, and decoding drops it before the fingerprints are compared.
+func TestResumeLegacyFaultScopeHeader(t *testing.T) {
+	opt := campaignOpts(1)
+	fp := opt.Fingerprint([]string{"f9"})
+	hdr, err := json.Marshal(journalHeader{Journal: journalMagic, Version: journalVersion, Fingerprint: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(hdr, []byte(`"Faults":`), []byte(`"FaultScope":"cell","Faults":`), 1)
+	if bytes.Equal(legacy, hdr) {
+		t.Fatalf("header %s has no Faults field to place FaultScope before", hdr)
+	}
+	rec, err := json.Marshal(Record{Exp: "F9", Index: 0, Workload: "camel", Tech: "ooo", Attempts: 1,
+		Result: &Result{Instrs: 1, Cycles: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "legacy.journal")
+	if err := os.WriteFile(path, append(append(legacy, '\n'), append(rec, '\n')...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := ResumeJournal(path, fp)
+	if err != nil {
+		t.Fatalf("journal with a FaultScope header refused: %v", err)
+	}
+	defer j.Close()
+	if _, ok := j.lookup("F9", 0, "camel", "ooo"); !ok {
+		t.Error("the legacy journal's record does not replay")
+	}
+}
+
 // TestJournalLookupGuards: a record whose workload/technique disagrees
-// with the cell at that key is ignored (the cell re-simulates), and
-// journaling is skipped entirely under campaign-scoped faults.
+// with the cell at that key is ignored (the cell re-simulates).
 func TestJournalLookupGuards(t *testing.T) {
 	dir := t.TempDir()
 	j, err := CreateJournal(filepath.Join(dir, "j.journal"), Fingerprint{Module: "m"})
@@ -508,10 +542,5 @@ func TestJournalLookupGuards(t *testing.T) {
 	}
 	if _, ok := j.lookup("F9", 0, "hj2", "ooo"); ok {
 		t.Error("workload mismatch replayed a stale record")
-	}
-
-	campaign := &Options{FaultScope: FaultScopeCampaign, Journal: j}
-	if s := campaign.newSweep(&Table{ID: "X"}); s.journal() != nil {
-		t.Error("campaign-scoped sweep must ignore the journal")
 	}
 }

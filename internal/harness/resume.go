@@ -53,7 +53,6 @@ type Fingerprint struct {
 	Watchdog    uint64
 	CellTimeout time.Duration
 	MaxRetries  int
-	FaultScope  string
 	Faults      mem.FaultConfig
 	// Check records whether the campaign ran with the cosimulation oracle
 	// and invariant checker enabled; checked and unchecked campaigns
@@ -75,7 +74,6 @@ func (o *Options) Fingerprint(experiments []string) Fingerprint {
 		Watchdog:    o.WatchdogCycles,
 		CellTimeout: o.CellTimeout,
 		MaxRetries:  o.MaxRetries,
-		FaultScope:  o.FaultScope.String(),
 		Faults:      o.Faults,
 		Check:       o.Check,
 	}

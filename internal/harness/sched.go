@@ -7,14 +7,11 @@
 // rendered output is byte-identical at any parallelism level: scheduling
 // only ever changes wall-clock time, never bytes.
 //
-// Fault injection is scoped per cell by default: each cell gets its own
+// Fault injection is scoped per cell: each cell attempt gets its own
 // injector whose seed is derived deterministically from (campaign seed,
-// workload, technique, cell index), making the fault sequence a property
-// of the cell rather than of execution order. The legacy campaign scope —
-// one injector shared across every cell, so count-based faults fire once
-// per campaign — survives as an explicit opt-in that forces serial,
-// declaration-order execution (the sharing is only meaningful, and only
-// race-free, in that order).
+// workload, technique, cell index, attempt), making the fault sequence a
+// property of the cell rather than of execution order, and count-based
+// faults (panic=N, hang=N) count per cell.
 
 package harness
 
@@ -25,67 +22,12 @@ import (
 	"runtime"
 	"sync"
 
-	"vrsim/internal/mem"
 	"vrsim/internal/workloads"
 )
 
-// FaultScope selects how fault-injection state is shared across the cells
-// of an experiment.
-type FaultScope int
-
-const (
-	// FaultScopeCell (the default) gives every cell a private injector
-	// derived deterministically from (Options.Faults.Seed, workload,
-	// technique, cell index). Fault sequences are independent of cell
-	// execution order, so sweeps parallelize without changing results;
-	// count-based faults (panic=N, hang=N) count per cell.
-	FaultScopeCell FaultScope = iota
-	// FaultScopeCampaign shares one injector across every cell, so
-	// count-based faults fire once per campaign in whichever cell reaches
-	// the count. Campaign scope forces serial, declaration-order
-	// execution; it preserves the legacy chaos-testing semantics.
-	FaultScopeCampaign
-)
-
-// String renders the scope as its flag spelling.
-func (fs FaultScope) String() string {
-	switch fs {
-	case FaultScopeCell:
-		return "cell"
-	case FaultScopeCampaign:
-		return "campaign"
-	default:
-		return fmt.Sprintf("FaultScope(%d)", int(fs))
-	}
-}
-
-// ParseFaultScope maps a flag value ("cell" or "campaign") to its scope.
-func ParseFaultScope(s string) (FaultScope, error) {
-	switch s {
-	case "cell":
-		return FaultScopeCell, nil
-	case "campaign":
-		return FaultScopeCampaign, nil
-	default:
-		return FaultScopeCell, fmt.Errorf("harness: unknown fault scope %q (want cell or campaign)", s)
-	}
-}
-
-// campaign reports whether the options demand campaign-scoped faults —
-// either explicitly, or implicitly by supplying a pre-built shared
-// injector.
-func (o *Options) campaign() bool {
-	return o.FaultScope == FaultScopeCampaign || o.FaultInjector != nil
-}
-
 // parallel returns the effective worker-pool bound: Parallel when set,
-// GOMAXPROCS otherwise, and always 1 under campaign-scoped faults (a
-// shared injector is consumed in cell declaration order, which only a
-// serial schedule preserves).
+// GOMAXPROCS otherwise.
 func (o *Options) parallel() int {
-	if o.campaign() {
-		return 1
-	}
 	if o.Parallel > 0 {
 		return o.Parallel
 	}
@@ -138,9 +80,6 @@ type sweep struct {
 	// through progressCount to pin the serialization discipline.
 	progressLines int // vrlint:guardedby mu
 
-	shared   *mem.FaultInjector // campaign scope: the one injector
-	faultErr error              // campaign scope: invalid fault config, reported per cell
-
 	// runFn executes one cell attempt; it is RunSupervisedContext except
 	// in tests, which substitute scripted outcomes to exercise the retry
 	// and cancellation machinery without real simulations.
@@ -149,32 +88,15 @@ type sweep struct {
 	cells []*sweepCell
 }
 
-// newSweep starts a sweep against t. Campaign-scoped faults resolve their
-// shared injector here: an explicitly supplied Options.FaultInjector wins
-// (vrbench uses one injector across all of -exp all); otherwise one is
-// built for this sweep, scoping counts to the single experiment.
+// newSweep starts a sweep against t.
 func (o *Options) newSweep(t *Table) *sweep {
 	s := &sweep{opt: o, t: t, runFn: RunSupervisedContext}
-	if o.Pool != nil && !o.campaign() {
+	if o.Pool != nil {
 		// Process isolation swaps the run function and nothing else: the
 		// cell specs the scheduler derives (budget, watchdog, per-attempt
 		// fault seeds) are exactly what crosses the wire, so both modes
-		// produce identical bytes. Campaign-scoped faults keep the
-		// in-process path — their shared injector is live state no wire
-		// format can carry.
+		// produce identical bytes.
 		s.runFn = o.Pool.Run
-	}
-	if o.campaign() {
-		switch {
-		case o.FaultInjector != nil:
-			s.shared = o.FaultInjector
-		case o.Faults.Enabled():
-			if err := o.Faults.Validate(); err != nil {
-				s.faultErr = err
-			} else {
-				s.shared = mem.NewFaultInjector(o.Faults)
-			}
-		}
 	}
 	return s
 }
@@ -203,10 +125,10 @@ func (s *sweep) cell(w *workloads.Workload, rc RunConfig, deps ...*sweepCell) *s
 
 // run executes every declared cell and then records all cell failures on
 // the table in declaration order. With an effective parallelism of 1 the
-// cells execute strictly in declaration order (the campaign fault scope
-// relies on this); otherwise up to parallel() cells run concurrently,
-// each gated on its dependencies, and only completion *timing* varies —
-// every per-cell result and the assembled error list are identical.
+// cells execute strictly in declaration order; otherwise up to parallel()
+// cells run concurrently, each gated on its dependencies, and only
+// completion *timing* varies — every per-cell result and the assembled
+// error list are identical.
 func (s *sweep) run() {
 	if p := s.opt.parallel(); p <= 1 {
 		for _, c := range s.cells {
@@ -258,16 +180,6 @@ func (s *sweep) run() {
 	}
 }
 
-// journal returns the campaign journal, or nil when journaling is off or
-// meaningless (campaign-scoped faults thread one injector's state through
-// every cell in order, so replaying a subset would change the remainder).
-func (s *sweep) journal() *Journal {
-	if s.opt.campaign() {
-		return nil
-	}
-	return s.opt.Journal
-}
-
 // exec runs one cell (or skips it when a dependency failed), storing the
 // outcome on the cell: journal replay first, then up to 1+MaxRetries
 // supervised attempts under the cell deadline, then a journal append.
@@ -297,14 +209,7 @@ func (s *sweep) exec(c *sweepCell) {
 	if s.opt.Check {
 		rc.Check = true
 	}
-	switch {
-	case s.faultErr != nil:
-		c.err = &RunError{Workload: c.w.Name, Tech: rc.Tech, Phase: "setup", Err: s.faultErr}
-		return
-	case s.shared != nil:
-		rc.FaultInjector = s.shared
-	}
-	if j := s.journal(); j != nil {
+	if j := s.opt.Journal; j != nil {
 		if rec, ok := j.lookup(s.t.ID, c.idx, c.w.Name, string(rc.Tech)); ok {
 			c.attempts, c.replayed = rec.Attempts, true
 			if rec.Result != nil {
@@ -316,17 +221,10 @@ func (s *sweep) exec(c *sweepCell) {
 			return
 		}
 	}
-	maxRetries := s.opt.MaxRetries
-	if s.opt.campaign() {
-		// A shared injector's PRNG position depends on every preceding
-		// run, so a retry would shift the fault sequence of every later
-		// cell; campaign scope keeps the legacy one-shot semantics.
-		maxRetries = 0
-	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		arc := rc
-		if s.shared == nil && s.opt.Faults.Enabled() {
+		if s.opt.Faults.Enabled() {
 			arc.Faults = s.opt.Faults.ForCellAttempt(c.w.Name, string(arc.Tech), c.idx, attempt)
 		}
 		c.attempts = attempt + 1
@@ -334,7 +232,7 @@ func (s *sweep) exec(c *sweepCell) {
 			s.note("[%s#%03d] running %s/%s", s.t.ID, c.idx, c.w.Name, arc.Tech)
 		} else {
 			s.note("[%s#%03d] retrying %s/%s (attempt %d of %d): %v",
-				s.t.ID, c.idx, c.w.Name, arc.Tech, attempt+1, maxRetries+1, lastErr)
+				s.t.ID, c.idx, c.w.Name, arc.Tech, attempt+1, s.opt.MaxRetries+1, lastErr)
 		}
 		res, err := s.runCell(c, arc)
 		if err == nil {
@@ -347,7 +245,7 @@ func (s *sweep) exec(c *sweepCell) {
 		lastErr = err
 		var re *RunError
 		transient := errors.As(err, &re) && re.Transient()
-		if !transient || attempt >= maxRetries || s.opt.softCtx().Err() != nil {
+		if !transient || attempt >= s.opt.MaxRetries || s.opt.softCtx().Err() != nil {
 			break
 		}
 		if err := sleepBackoff(s.opt.softCtx(), retryBackoff(s.opt.RetryBackoff, attempt+1)); err != nil {
@@ -362,7 +260,7 @@ func (s *sweep) exec(c *sweepCell) {
 		return
 	}
 	c.err = lastErr
-	if j := s.journal(); j != nil {
+	if j := s.opt.Journal; j != nil {
 		rec := Record{Exp: s.t.ID, Index: c.idx, Workload: c.w.Name,
 			Tech: string(rc.Tech), Attempts: c.attempts}
 		if c.ok {

@@ -158,16 +158,16 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 	}
 }
 
-// TestExperimentDegradesGracefully: with a shared injector set to crash on
-// the Nth access, an experiment completes, renders ERR for exactly the cell
-// that crashed, and keeps real numbers for the rest.
+// TestExperimentDegradesGracefully: with per-cell faults set to crash on
+// the 5000th demand access, only the cell that gets that far crashes
+// (kangaroo/ooo; its dependent vr cell is skipped), the experiment
+// completes, and the other workloads keep real numbers.
 func TestExperimentDegradesGracefully(t *testing.T) {
 	opt := Options{
-		MaxBudget: 20_000,
-		Workloads: []string{"camel", "hj2"},
-		Faults:    mem.FaultConfig{Seed: 1, PanicAfter: 500},
+		MaxBudget: 30_000,
+		Workloads: []string{"camel", "hj2", "kangaroo"},
+		Faults:    mem.FaultConfig{Seed: 1, PanicAfter: 5000},
 	}
-	opt.FaultInjector = mem.NewFaultInjector(opt.Faults)
 	tab, err := ExpF9MLP(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -175,19 +175,19 @@ func TestExperimentDegradesGracefully(t *testing.T) {
 	if len(tab.Errors) != 1 {
 		t.Fatalf("errors = %v, want exactly one", tab.Errors)
 	}
+	if !strings.HasPrefix(tab.Errors[0], "kangaroo/ooo ") {
+		t.Errorf("error entry %q is not kangaroo/ooo's", tab.Errors[0])
+	}
 	if !strings.Contains(tab.Errors[0], "panic") || !strings.Contains(tab.Errors[0], "cycle=") {
 		t.Errorf("error entry %q lacks panic cause or snapshot", tab.Errors[0])
 	}
-	var errRows, okRows int
 	for _, row := range tab.Rows {
-		if row[1] == errCell {
-			errRows++
-		} else {
-			okRows++
+		if crashed := row[0] == "kangaroo"; (row[1] == errCell) != crashed {
+			t.Errorf("row %v: want ERR only for kangaroo", row)
 		}
 	}
-	if errRows != 1 || okRows != 1 {
-		t.Errorf("rows = %v: want one ERR row and one surviving row", tab.Rows)
+	if len(tab.Rows) != 3 {
+		t.Errorf("rows = %v: want camel, hj2 and kangaroo", tab.Rows)
 	}
 	if !strings.Contains(tab.String(), "errors (1 cells failed") {
 		t.Errorf("rendered table lacks the error summary:\n%s", tab.String())

@@ -84,8 +84,7 @@ func (c FaultConfig) Validate() error {
 // of a sweep therefore owns an independent fault sequence that depends
 // only on the cell's identity — never on the order cells execute in — so
 // fault campaigns stay bit-reproducible under concurrency. Count-based
-// faults (PanicAfter, HangAfter) count per cell under this scoping; share
-// one injector across runs instead to keep campaign-global counts.
+// faults (PanicAfter, HangAfter) count per cell.
 func (c FaultConfig) ForCell(workload, tech string, index int) FaultConfig {
 	return c.ForCellAttempt(workload, tech, index, 0)
 }
