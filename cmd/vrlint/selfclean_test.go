@@ -14,11 +14,11 @@ import (
 )
 
 // TestSelfClean is the self-application gate: the full vrlint registry —
-// every per-package and module-scope pass, compiler diagnostics included
-// — runs over this repository and must report zero unsuppressed
-// findings. A finding here means the tree regressed an invariant (fix
-// the code) or a pass regressed its precision (fix the pass); either
-// way the gate, not a human re-running `make lint`, catches it.
+// every per-package and module-scope pass — runs over this repository
+// and must report zero unsuppressed findings. A finding here means the
+// tree regressed an invariant (fix the code) or a pass regressed its
+// precision (fix the pass); either way the gate, not a human re-running
+// `make lint`, catches it.
 func TestSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and analyzes the whole module")
