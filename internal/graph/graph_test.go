@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -129,5 +132,38 @@ func TestGeneratorProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// csrDigest hashes RowPtr‖ColIdx‖Weights as little-endian words.
+func csrDigest(g *CSR) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, a := range [][]uint64{g.RowPtr, g.ColIdx, g.Weights} {
+		for _, w := range a {
+			binary.LittleEndian.PutUint64(buf[:], w)
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratorDigests pins the generators' exact output: every memory
+// image a graph workload builds derives from these bytes, so a rewrite of
+// a generator must reproduce them bit for bit. The first graph has 97
+// adjacency lists longer than 256 entries, the longest 2,818.
+func TestGeneratorDigests(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *CSR
+		want string
+	}{
+		{"Kronecker(14,8,11,true)", Kronecker(14, 8, 11, true), "de3869ea41f9a577007e4ca9842a040d17a82696abe7558bdbd995a2f11035e8"},
+		{"Kronecker(10,8,33,false)", Kronecker(10, 8, 33, false), "a0b959fbefa8ed9903c41ead0da048c06eea3df022d7c8ff935d3bbc92bfc998"},
+		{"Uniform(1<<14,4,55,true)", Uniform(1<<14, 4, 55, true), "b4c57d0c4e01a90fdad1405efc995e4db7a7dcb652ba37da4de463a6374e5c92"},
+	} {
+		if got := csrDigest(c.g); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }
