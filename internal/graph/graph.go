@@ -8,6 +8,7 @@
 package graph
 
 import (
+	mathbits "math/bits"
 	"slices"
 	"sort"
 )
@@ -73,28 +74,43 @@ func xorshift(s uint64) uint64 {
 // intn returns a value in [0, n).
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
+// radixMin is the shortest adjacency list fromEdges sorts by radix;
+// slices.Sort is faster below it.
+const radixMin = 257
+
 // fromEdges builds a CSR from an edge list, sorting adjacency lists and
-// keeping duplicate edges (as Graph500 generators do).
+// keeping duplicate edges (as Graph500 generators do). Every dst value
+// must be below n.
 func fromEdges(n int, src, dst []uint64, weighted bool, rnd *rng) *CSR {
-	deg := make([]uint64, n+1)
+	rowPtr := make([]uint64, n+1)
 	for _, u := range src {
-		deg[u+1]++
+		rowPtr[u+1]++
 	}
 	for i := 1; i <= n; i++ {
-		deg[i] += deg[i-1]
+		rowPtr[i] += rowPtr[i-1]
 	}
+	// Scatter with rowPtr[u] as u's cursor. Each cursor ends at its
+	// list's end, the next list's start, so shifting the array up one
+	// slot restores the row pointers.
 	col := make([]uint64, len(dst))
-	next := make([]uint64, n)
 	for i, u := range src {
-		col[deg[u]+next[u]] = dst[i]
-		next[u]++
+		col[rowPtr[u]] = dst[i]
+		rowPtr[u]++
 	}
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
+	bits := mathbits.Len64(uint64(n - 1))
+	var tmp []uint64
 	for u := 0; u < n; u++ {
 		// slices.Sort, not sort.Slice: the latter allocates a swapper and
 		// closure per call, and this loop runs once per vertex.
-		slices.Sort(col[deg[u]:deg[u+1]])
+		if adj := col[rowPtr[u]:rowPtr[u+1]]; len(adj) < radixMin {
+			slices.Sort(adj)
+		} else {
+			tmp = radixSort(adj, tmp, bits)
+		}
 	}
-	g := &CSR{RowPtr: deg, ColIdx: col}
+	g := &CSR{RowPtr: rowPtr, ColIdx: col}
 	if weighted {
 		g.Weights = make([]uint64, len(col))
 		for i := range g.Weights {
@@ -102,6 +118,35 @@ func fromEdges(n int, src, dst []uint64, weighted bool, rnd *rng) *CSR {
 		}
 	}
 	return g
+}
+
+// radixSort sorts a, whose values lie below 1<<bits, by least-significant
+// byte first, through tmp as scratch (grown to len(a) if short); it
+// returns tmp for reuse.
+func radixSort(a, tmp []uint64, bits int) []uint64 {
+	if cap(tmp) < len(a) {
+		tmp = make([]uint64, len(a))
+	}
+	from, to := a, tmp[:len(a)]
+	for shift := 0; shift < bits; shift += 8 {
+		var next [256]int // each byte value's next slot in to
+		for _, x := range from {
+			next[byte(x>>shift)]++
+		}
+		sum := 0
+		for d, c := range next {
+			next[d] = sum
+			sum += c
+		}
+		for _, x := range from {
+			d := byte(x >> shift)
+			to[next[d]] = x
+			next[d]++
+		}
+		from, to = to, from
+	}
+	copy(a, from) // from is a itself after an even number of passes
+	return tmp
 }
 
 // Uniform generates a UR-style graph: n nodes, degree*n directed edges with

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -164,6 +165,28 @@ func TestGeneratorDigests(t *testing.T) {
 	} {
 		if got := csrDigest(c.g); got != c.want {
 			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
+	if g := Kronecker(14, 8, 11, true); g.MaxDegree() < radixMin {
+		t.Errorf("max degree %d: no adjacency list takes the radix sort", g.MaxDegree())
+	}
+}
+
+// TestRadixSortMatchesSort checks radixSort against slices.Sort at widths
+// needing one, two and three byte passes, reusing one scratch buffer.
+func TestRadixSortMatchesSort(t *testing.T) {
+	r := newRNG(9)
+	var tmp []uint64
+	for _, c := range []struct{ n, bits int }{{300, 8}, {2000, 16}, {700, 20}, {5000, 20}} {
+		a := make([]uint64, c.n)
+		for i := range a {
+			a[i] = r.next() & (1<<c.bits - 1)
+		}
+		want := slices.Clone(a)
+		slices.Sort(want)
+		tmp = radixSort(a, tmp, c.bits)
+		if !slices.Equal(a, want) {
+			t.Errorf("%d values below 2^%d: radixSort disagrees with slices.Sort", c.n, c.bits)
 		}
 	}
 }
