@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 
 	"vrsim/internal/graph"
 	"vrsim/internal/isa"
@@ -72,6 +73,18 @@ func shuffleEdges(seed uint64, arrays ...[]uint64) {
 	}
 }
 
+// edgeList flattens g, in CSR order, into parallel source, destination
+// and weight arrays; wts is nil for an unweighted graph.
+func edgeList(g *graph.CSR) (srcs, dsts, wts []uint64) {
+	srcs = make([]uint64, g.NumEdges())
+	for u := 0; u < g.NumNodes(); u++ {
+		for e := g.RowPtr[u]; e < g.RowPtr[u+1]; e++ {
+			srcs[e] = uint64(u)
+		}
+	}
+	return srcs, slices.Clone(g.ColIdx), slices.Clone(g.Weights)
+}
+
 // minLabels computes each vertex's converged label under min-label
 // propagation: the minimum vertex id in its (weakly) connected component.
 func minLabels(n int, srcs, dsts []uint64) []uint64 {
@@ -102,25 +115,44 @@ func minLabels(n int, srcs, dsts []uint64) []uint64 {
 	return out
 }
 
-// bellmanFord relaxes to convergence and returns the distance array.
-func bellmanFord(n int, srcs, dsts, wts []uint64, src int, inf uint64) []uint64 {
-	dist := make([]uint64, n)
+// shortestPaths returns each vertex's distance from src over g's edge
+// weights, inf where unreachable. It is Dial's bucket-queue Dijkstra: no
+// tentative distance exceeds the one being settled by more than the
+// largest weight, so a ring of that many buckets plus one, indexed by
+// distance modulo its size, holds the whole frontier. A vertex queued
+// again at a shorter distance leaves a stale entry behind, skipped when
+// its bucket comes up.
+func shortestPaths(g *graph.CSR, src int, inf uint64) []uint64 {
+	dist := make([]uint64, g.NumNodes())
 	for v := range dist {
 		dist[v] = inf
 	}
+	var maxW uint64
+	for _, w := range g.Weights {
+		maxW = max(maxW, w)
+	}
+	ring := make([][]uint64, maxW+1)
+	size := maxW + 1
 	dist[src] = 0
-	for changed := true; changed; {
-		changed = false
-		for i := range srcs {
-			du := dist[srcs[i]]
-			if du >= inf {
+	ring[0] = append(ring[0], uint64(src))
+	for d, queued := uint64(0), 1; queued > 0; d++ {
+		k := d % size
+		for i := 0; i < len(ring[k]); i++ {
+			u := ring[k][i]
+			if dist[u] != d {
 				continue
 			}
-			if cand := du + wts[i]; cand < dist[dsts[i]] {
-				dist[dsts[i]] = cand
-				changed = true
+			for e := g.RowPtr[u]; e < g.RowPtr[u+1]; e++ {
+				v := g.ColIdx[e]
+				if nd := d + g.Weights[e]; nd < dist[v] {
+					dist[v] = nd
+					ring[nd%size] = append(ring[nd%size], v)
+					queued++
+				}
 			}
 		}
+		queued -= len(ring[k])
+		ring[k] = ring[k][:0]
 	}
 	return dist
 }
@@ -261,16 +293,7 @@ func CC(scale int, kind GraphKind, tag string) *Workload {
 
 	// Flatten to an edge list (the GAP implementation's SV variant also
 	// iterates edges).
-	srcs := make([]uint64, m)
-	dsts := make([]uint64, m)
-	k := 0
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(u) {
-			srcs[k] = uint64(u)
-			dsts[k] = v
-			k++
-		}
-	}
+	srcs, dsts, _ := edgeList(g)
 	shuffleEdges(77, srcs, dsts)
 
 	// Region of interest: the steady state of label propagation. The
@@ -476,19 +499,7 @@ func SSSP(scale int, kind GraphKind, tag string) *Workload {
 	const inf = uint64(1) << 60
 	const maxSweeps = 6 // bounded relaxation, deterministic
 
-	srcs := make([]uint64, m)
-	dsts := make([]uint64, m)
-	wts := make([]uint64, m)
-	k := 0
-	for u := 0; u < n; u++ {
-		lo, hi := g.RowPtr[u], g.RowPtr[u+1]
-		for e := lo; e < hi; e++ {
-			srcs[k] = uint64(u)
-			dsts[k] = g.ColIdx[e]
-			wts[k] = g.Weights[e]
-			k++
-		}
-	}
+	srcs, dsts, wts := edgeList(g)
 	shuffleEdges(88, srcs, dsts, wts)
 
 	// Region of interest: the steady state of the relaxation. The image
@@ -496,7 +507,7 @@ func SSSP(scale int, kind GraphKind, tag string) *Workload {
 	// distance just improved (as when delta-stepping opens a new bucket):
 	// sweeps then do real-but-mostly-failing relaxations with biased
 	// branches, matching the algorithm's dominant phase.
-	initDist := bellmanFord(n, srcs, dsts, wts, src, inf)
+	initDist := shortestPaths(g, src, inf)
 	px := newXorshift(5150)
 	for v := 0; v < n; v++ {
 		if initDist[v] != inf && initDist[v] > 1 && px.next()%64 == 0 {
