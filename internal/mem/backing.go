@@ -27,12 +27,13 @@ type pageRef struct {
 	priv bool
 }
 
-// recentPages is how many recently written private pages Store keeps at
-// hand: workload initializers fill several arrays in lockstep (HashJoin
-// interleaves four), and a hit skips the page-map lookup.
+// recentPages is how many recently written private pages Store and
+// StoreSlice keep at hand: workload initializers fill several arrays in
+// lockstep (HashJoin interleaves four), and a hit skips the page-map
+// lookup.
 const recentPages = 4
 
-// recentPage is one entry of Store's cache: a page key and the private
+// recentPage is one entry of the write cache: a page key and the private
 // page the map holds for it (nil when the entry is empty).
 type recentPage struct {
 	key uint64
@@ -47,7 +48,7 @@ type recentPage struct {
 // ignored, matching the mini-ISA's word-granular loads and stores.
 type Backing struct {
 	pages map[uint64]pageRef
-	// recent caches the last private pages Store wrote, replaced
+	// recent caches the last private pages written, replaced
 	// round-robin at next. Every entry mirrors a private page of the
 	// map; Snapshot, which shares every page, empties it.
 	recent [recentPages]recentPage
@@ -105,15 +106,29 @@ func (b *Backing) Load(addr uint64) uint64 {
 	return e.p[(addr>>3)&(pageWords-1)]
 }
 
-// Store writes the 64-bit word at addr (aligned down). A write to one of
-// the last recentPages private pages Store reached through the map skips
-// the map.
+// Store writes the 64-bit word at addr (aligned down).
 func (b *Backing) Store(addr, val uint64) {
-	key := addr >> pageShift
+	b.writable(addr >> pageShift)[(addr>>3)&(pageWords-1)] = val
+}
+
+// StoreSlice writes vals as consecutive 64-bit words starting at addr
+// (aligned down), copying one page span at a time.
+func (b *Backing) StoreSlice(addr uint64, vals []uint64) {
+	for len(vals) > 0 {
+		n := copy(b.writable(addr >> pageShift)[(addr>>3)&(pageWords-1):], vals)
+		vals = vals[n:]
+		addr += uint64(n) * 8
+	}
+}
+
+// writable returns the private page with the given key, for writing. A
+// page among the last recentPages that writable reached through the map
+// skips the map; otherwise a missing page is allocated and a page shared
+// with an image is copied first.
+func (b *Backing) writable(key uint64) *[pageWords]uint64 {
 	for _, r := range b.recent {
 		if r.p != nil && r.key == key {
-			r.p[(addr>>3)&(pageWords-1)] = val
-			return
+			return r.p
 		}
 	}
 	e, ok := b.pages[key]
@@ -126,16 +141,9 @@ func (b *Backing) Store(addr, val uint64) {
 		e = pageRef{p: p, priv: true}
 		b.pages[key] = e
 	}
-	e.p[(addr>>3)&(pageWords-1)] = val
 	b.recent[b.next%recentPages] = recentPage{key: key, p: e.p}
 	b.next++
-}
-
-// StoreSlice writes vals as consecutive 64-bit words starting at addr.
-func (b *Backing) StoreSlice(addr uint64, vals []uint64) {
-	for i, v := range vals {
-		b.Store(addr+uint64(i)*8, v)
-	}
+	return e.p
 }
 
 // LoadSlice reads n consecutive 64-bit words starting at addr. A

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,69 @@ func TestBackingCopyOnWrite(t *testing.T) {
 		}
 		if a.Load(word(pg, 1)) != 7 || src.Load(word(pg, 0)) != 9 {
 			t.Fatalf("page %d: store after Snapshot was lost", pg)
+		}
+	}
+}
+
+// TestStoreSliceMatchesStore: StoreSlice leaves a backing exactly as
+// per-word Stores would, on spans that start mid-page (one at an
+// unaligned address) and cross several page boundaries, into a fresh
+// backing and into one seeded from an image. Stores first warm the
+// recent-page cache in an order unlike the spans', so a span that starts
+// on a cached page other than the last one written is covered. The image
+// never changes, and a later Store lands in the private copy StoreSlice
+// made.
+func TestStoreSliceMatchesStore(t *testing.T) {
+	const base = 0x40000
+	word := func(pg, i int) uint64 { return base + uint64(pg)<<pageShift + uint64(i)*8 }
+	spans := []struct {
+		addr uint64
+		n    int
+	}{
+		{word(0, 100), 2*pageWords + 50},   // pages 0-2
+		{word(1, 500) + 5, pageWords + 20}, // pages 1-3, unaligned
+		{word(4, 7), 3 * pageWords},        // pages 4-7
+	}
+	src := NewBacking()
+	for pg := 0; pg < 8; pg += 2 {
+		for i := 0; i < pageWords; i++ {
+			src.Store(word(pg, i), uint64(pg)<<32|uint64(i))
+		}
+	}
+	img := src.Snapshot()
+	imageWords := NewBackingFrom(img).LoadSlice(base, 9*pageWords)
+
+	for _, fresh := range []func() *Backing{NewBacking, func() *Backing { return NewBackingFrom(img) }} {
+		got, want := fresh(), fresh()
+		for _, b := range []*Backing{got, want} {
+			for _, pg := range []int{1, 0, 5, 2} {
+				b.Store(word(pg, 3), 7)
+			}
+		}
+		for k, sp := range spans {
+			vals := make([]uint64, sp.n)
+			for i := range vals {
+				vals[i] = uint64(k+1)<<40 | uint64(i)
+			}
+			got.StoreSlice(sp.addr, vals)
+			for i, v := range vals {
+				want.Store(sp.addr+uint64(i)*8, v)
+			}
+		}
+		if !slices.Equal(got.LoadSlice(base, 9*pageWords), want.LoadSlice(base, 9*pageWords)) {
+			t.Fatal("StoreSlice differs from per-word Store")
+		}
+		if got.Footprint() != want.Footprint() {
+			t.Fatalf("footprint %d, want %d", got.Footprint(), want.Footprint())
+		}
+		for _, pg := range []int{0, 4} {
+			got.Store(word(pg, 200), 99)
+			if got.Load(word(pg, 200)) != 99 || got.Load(word(pg, 201)) != want.Load(word(pg, 201)) {
+				t.Fatalf("page %d: a Store after StoreSlice missed its private copy", pg)
+			}
+		}
+		if !slices.Equal(NewBackingFrom(img).LoadSlice(base, 9*pageWords), imageWords) {
+			t.Fatal("StoreSlice wrote through into the image")
 		}
 	}
 }

@@ -46,10 +46,10 @@ func placeCSR(l *layout, g *graph.CSR) (csrBases, func(d *mem.Backing)) {
 		bs.weights = l.array(len(g.Weights))
 	}
 	write := func(d *mem.Backing) {
-		storeAll(d, bs.rowPtr, g.RowPtr)
-		storeAll(d, bs.colIdx, g.ColIdx)
+		d.StoreSlice(bs.rowPtr, g.RowPtr)
+		d.StoreSlice(bs.colIdx, g.ColIdx)
 		if g.Weights != nil {
-			storeAll(d, bs.weights, g.Weights)
+			d.StoreSlice(bs.weights, g.Weights)
 		}
 	}
 	return bs, write
@@ -360,9 +360,9 @@ func CC(scale int, kind GraphKind, tag string) *Workload {
 	b.Halt()
 
 	fill := func(d *mem.Backing) {
-		storeAll(d, baseSrc, srcs)
-		storeAll(d, baseDst, dsts)
-		storeAll(d, baseComp, initComp)
+		d.StoreSlice(baseSrc, srcs)
+		d.StoreSlice(baseDst, dsts)
+		d.StoreSlice(baseComp, initComp)
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		comp := make([]uint64, n)
@@ -464,7 +464,7 @@ func PR(scale int, kind GraphKind, tag string) *Workload {
 
 	fill := func(d *mem.Backing) {
 		writeCSR(d)
-		storeAll(d, baseContrib, contrib)
+		d.StoreSlice(baseContrib, contrib)
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		for u := 0; u < n; u++ {
@@ -572,10 +572,10 @@ func SSSP(scale int, kind GraphKind, tag string) *Workload {
 	b.Halt()
 
 	fill := func(d *mem.Backing) {
-		storeAll(d, baseSrc, srcs)
-		storeAll(d, baseDst, dsts)
-		storeAll(d, baseW, wts)
-		storeAll(d, baseDist, initDist)
+		d.StoreSlice(baseSrc, srcs)
+		d.StoreSlice(baseDst, dsts)
+		d.StoreSlice(baseW, wts)
+		d.StoreSlice(baseDist, initDist)
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		dist := make([]uint64, n)

@@ -79,11 +79,6 @@ func (l *layout) array(n int) uint64 {
 	return base
 }
 
-// storeAll writes vals to consecutive words at base.
-func storeAll(d *mem.Backing, base uint64, vals []uint64) {
-	d.StoreSlice(base, vals)
-}
-
 // checkRange compares a memory range against expected values.
 func checkRange(d *mem.Backing, base uint64, want []uint64, what string) error {
 	for i, w := range want {
