@@ -86,7 +86,7 @@ func main() {
 		}
 		occ := c.ROBOccupancy()
 		bar := strings.Repeat("#", occ*20/c.Config().ROBSize)
-		mlp := hier.MSHR.InFlight(c.Cycle())
+		mlp := hier.MSHR.InFlightAt(c.Cycle())
 		state := "main"
 		if vr != nil && vr.Active() {
 			state = "vr-runahead"

@@ -75,7 +75,7 @@ func (in *instance) snapshot() *Snapshot {
 		IQ: c.IQLen(), IQCap: cfg.IQSize,
 		LQ: c.LQOccupancy(), LQCap: cfg.LQSize,
 		SQ: c.SQOccupancy(), SQCap: cfg.SQSize,
-		MSHR:    in.hier.MSHR.InFlight(c.Cycle()),
+		MSHR:    in.hier.MSHR.InFlightAt(c.Cycle()),
 		MSHRCap: in.hier.MSHR.Capacity(),
 	}
 	engineMode := func(name string, active bool) string {

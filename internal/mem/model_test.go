@@ -120,7 +120,7 @@ func TestMSHRCapacityInvariant(t *testing.T) {
 			t.Fatalf("acquire start %d before request cycle %d", start, cycle)
 		}
 		m.Complete(line, start, start+uint64(100+rng.Intn(400)), SrcDemand)
-		if n := m.InFlight(start); n > capEntries {
+		if n := m.InFlightAt(start); n > capEntries {
 			t.Fatalf("in flight %d exceeds capacity %d", n, capEntries)
 		}
 	}

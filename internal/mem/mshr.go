@@ -73,17 +73,10 @@ func (m *MSHRFile) Outstanding(line uint64, cycle uint64) (done uint64, src Pref
 	return 0, SrcDemand, false
 }
 
-// InFlight returns the number of outstanding misses at the given cycle.
-func (m *MSHRFile) InFlight(cycle uint64) int {
-	m.expire(cycle)
-	return m.n
-}
-
 // InFlightAt counts the outstanding misses at the given cycle without
-// mutating the file: the count equals what InFlight would return, but no
-// entries are expired and lastCycle does not advance. Observer-side code
-// (the oracle's invariant checks) must use this form — the purity
-// contract forbids it from touching MSHR state.
+// mutating the file: no entries are expired and lastCycle does not
+// advance, so observers (the oracle's invariant checks, failure
+// snapshots, vrtrace) can sample it without perturbing the run.
 func (m *MSHRFile) InFlightAt(cycle uint64) int {
 	n := 0
 	for _, d := range m.done[:m.n] {
