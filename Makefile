@@ -23,9 +23,14 @@ lint:
 chaos:
 	./scripts/chaos_smoke.sh
 
-# The full verification gate: static checks, a clean build, the test
-# suite under the race detector, and the interrupt-and-resume chaos smoke.
+# The full verification gate: formatting, static checks, a clean build,
+# the test suite under the race detector, and the interrupt-and-resume
+# chaos smoke. The formatting step fails if gofmt would change any
+# tracked Go file outside testdata/, whose analyzer inputs keep their
+# hand-aligned `// want` comments.
 check:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' ':!:*/testdata/*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/vrlint ./...
 	$(GO) build ./...

@@ -257,13 +257,13 @@ func FuzzWorkerProtocol(f *testing.F) {
 		Err: &wireError{Workload: "camel", Tech: TechVR, Phase: "run", Msg: "boom", Timeout: true}})
 	f.Add(append(append([]byte{}, hb...), res...), 1) // healthy beat-then-result stream
 	f.Add(failRes, 1)
-	f.Add(res, 7)                                        // result for a cell not in flight
-	f.Add(append(append([]byte{}, res...), res...), 1)   // duplicate result
-	f.Add(hb[:3], 1)                                     // truncated length prefix
-	f.Add(res[:len(res)-2], 1)                           // torn payload
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'}, 1)        // oversized length
-	f.Add([]byte{0, 0, 0, 0}, 1)                         // zero length
-	f.Add([]byte{0, 0, 0, 2, '{', ']'}, 1)               // garbage JSON
+	f.Add(res, 7)                                      // result for a cell not in flight
+	f.Add(append(append([]byte{}, res...), res...), 1) // duplicate result
+	f.Add(hb[:3], 1)                                   // truncated length prefix
+	f.Add(res[:len(res)-2], 1)                         // torn payload
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'}, 1)      // oversized length
+	f.Add([]byte{0, 0, 0, 0}, 1)                       // zero length
+	f.Add([]byte{0, 0, 0, 2, '{', ']'}, 1)             // garbage JSON
 	f.Add([]byte{}, 0)
 	f.Fuzz(func(t *testing.T, data []byte, wantID int) {
 		r := bytes.NewReader(data)

@@ -70,8 +70,8 @@ type workerProc struct {
 
 	// Dispatch-loop state: a workerProc executes one cell at a time, and
 	// only its current dispatcher touches these, so they need no lock.
-	killedByUs  bool   // the supervisor initiated this death
-	lastHeap    uint64 // HeapAlloc from the most recent heartbeat
+	killedByUs   bool   // the supervisor initiated this death
+	lastHeap     uint64 // HeapAlloc from the most recent heartbeat
 	sawHeartbeat bool
 }
 

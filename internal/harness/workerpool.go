@@ -116,12 +116,12 @@ type WorkerPool struct {
 	// slots bounds concurrently leased workers to cfg.Workers.
 	slots chan struct{}
 
-	mu     sync.Mutex
-	idle   []*workerProc // vrlint:guardedby mu
-	starts int           // vrlint:guardedby mu
-	crashes int          // vrlint:guardedby mu
-	nextID int           // vrlint:guardedby mu
-	closed bool          // vrlint:guardedby mu
+	mu      sync.Mutex
+	idle    []*workerProc // vrlint:guardedby mu
+	starts  int           // vrlint:guardedby mu
+	crashes int           // vrlint:guardedby mu
+	nextID  int           // vrlint:guardedby mu
+	closed  bool          // vrlint:guardedby mu
 }
 
 // NewWorkerPool creates a pool; workers start lazily on first lease.

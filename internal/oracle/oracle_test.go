@@ -17,15 +17,15 @@ import (
 // behavior to exercise every oracle comparison.
 func loopProgram() *isa.Program {
 	b := isa.NewBuilder("oracle-loop")
-	b.Li(1, 0)       // i
-	b.Li(2, 64)      // n
-	b.Li(3, 0x1000)  // base
-	b.Li(4, 0)       // acc
+	b.Li(1, 0)      // i
+	b.Li(2, 64)     // n
+	b.Li(3, 0x1000) // base
+	b.Li(4, 0)      // acc
 	b.Label("loop")
-	b.Ld(5, 3, 1, 3, 0)  // r5 = mem[base + i*8]
-	b.Add(4, 4, 5)       // acc += r5
-	b.St(4, 3, 1, 3, 0)  // mem[base + i*8] = acc
-	b.AddI(1, 1, 1)      // i++
+	b.Ld(5, 3, 1, 3, 0) // r5 = mem[base + i*8]
+	b.Add(4, 4, 5)      // acc += r5
+	b.St(4, 3, 1, 3, 0) // mem[base + i*8] = acc
+	b.AddI(1, 1, 1)     // i++
 	b.Blt(1, 2, "loop")
 	b.StD(4, 3, 4096) // final acc
 	b.Halt()
