@@ -8,7 +8,7 @@
 package graph
 
 import (
-	mathbits "math/bits"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -99,7 +99,7 @@ func fromEdges(n int, src, dst []uint64, weighted bool, rnd *rng) *CSR {
 	}
 	copy(rowPtr[1:], rowPtr[:n])
 	rowPtr[0] = 0
-	bits := mathbits.Len64(uint64(n - 1))
+	width := bits.Len64(uint64(n - 1)) // bits in the largest vertex id
 	var tmp []uint64
 	for u := 0; u < n; u++ {
 		// slices.Sort, not sort.Slice: the latter allocates a swapper and
@@ -107,7 +107,7 @@ func fromEdges(n int, src, dst []uint64, weighted bool, rnd *rng) *CSR {
 		if adj := col[rowPtr[u]:rowPtr[u+1]]; len(adj) < radixMin {
 			slices.Sort(adj)
 		} else {
-			tmp = radixSort(adj, tmp, bits)
+			tmp = radixSort(adj, tmp, width)
 		}
 	}
 	g := &CSR{RowPtr: rowPtr, ColIdx: col}
@@ -120,15 +120,15 @@ func fromEdges(n int, src, dst []uint64, weighted bool, rnd *rng) *CSR {
 	return g
 }
 
-// radixSort sorts a, whose values lie below 1<<bits, by least-significant
+// radixSort sorts a, whose values lie below 1<<width, by least-significant
 // byte first, through tmp as scratch (grown to len(a) if short); it
 // returns tmp for reuse.
-func radixSort(a, tmp []uint64, bits int) []uint64 {
+func radixSort(a, tmp []uint64, width int) []uint64 {
 	if cap(tmp) < len(a) {
 		tmp = make([]uint64, len(a))
 	}
 	from, to := a, tmp[:len(a)]
-	for shift := 0; shift < bits; shift += 8 {
+	for shift := 0; shift < width; shift += 8 {
 		var next [256]int // each byte value's next slot in to
 		for _, x := range from {
 			next[byte(x>>shift)]++

@@ -131,8 +131,8 @@ func shortestPaths(g *graph.CSR, src int, inf uint64) []uint64 {
 	for _, w := range g.Weights {
 		maxW = max(maxW, w)
 	}
-	ring := make([][]uint64, maxW+1)
 	size := maxW + 1
+	ring := make([][]uint64, size)
 	dist[src] = 0
 	ring[0] = append(ring[0], uint64(src))
 	for d, queued := uint64(0), 1; queued > 0; d++ {
