@@ -27,13 +27,12 @@ type pageRef struct {
 	priv bool
 }
 
-// recentPages is how many recently written private pages Store and
-// StoreSlice keep at hand: workload initializers fill several arrays in
-// lockstep (HashJoin interleaves four), and a hit skips the page-map
-// lookup.
+// recentPages is how many recently written private pages Store keeps at
+// hand: workload initializers fill several arrays in lockstep (HashJoin
+// interleaves four), and a hit skips the page-map lookup.
 const recentPages = 4
 
-// recentPage is one entry of the write cache: a page key and the private
+// recentPage is one entry of Store's cache: a page key and the private
 // page the map holds for it (nil when the entry is empty).
 type recentPage struct {
 	key uint64
@@ -48,7 +47,7 @@ type recentPage struct {
 // ignored, matching the mini-ISA's word-granular loads and stores.
 type Backing struct {
 	pages map[uint64]pageRef
-	// recent caches the last private pages written, replaced
+	// recent caches the last private pages writable returned, replaced
 	// round-robin at next. Every entry mirrors a private page of the
 	// map; Snapshot, which shares every page, empties it.
 	recent [recentPages]recentPage
@@ -106,9 +105,18 @@ func (b *Backing) Load(addr uint64) uint64 {
 	return e.p[(addr>>3)&(pageWords-1)]
 }
 
-// Store writes the 64-bit word at addr (aligned down).
+// Store writes the 64-bit word at addr (aligned down). A write to one of
+// the last recentPages private pages reached through the map skips the
+// map.
 func (b *Backing) Store(addr, val uint64) {
-	b.writable(addr >> pageShift)[(addr>>3)&(pageWords-1)] = val
+	key := addr >> pageShift
+	for _, r := range b.recent {
+		if r.p != nil && r.key == key {
+			r.p[(addr>>3)&(pageWords-1)] = val
+			return
+		}
+	}
+	b.writable(key)[(addr>>3)&(pageWords-1)] = val
 }
 
 // StoreSlice writes vals as consecutive 64-bit words starting at addr
@@ -121,16 +129,10 @@ func (b *Backing) StoreSlice(addr uint64, vals []uint64) {
 	}
 }
 
-// writable returns the private page with the given key, for writing. A
-// page among the last recentPages that writable reached through the map
-// skips the map; otherwise a missing page is allocated and a page shared
-// with an image is copied first.
+// writable returns the private page with the given key, reached through
+// the map: a missing page is allocated and a page shared with an image is
+// copied first. The page joins the recent cache.
 func (b *Backing) writable(key uint64) *[pageWords]uint64 {
-	for _, r := range b.recent {
-		if r.p != nil && r.key == key {
-			return r.p
-		}
-	}
 	e, ok := b.pages[key]
 	if !ok {
 		e = pageRef{p: new([pageWords]uint64), priv: true}
