@@ -13,30 +13,38 @@ package mem
 // LineSize is the cache line size in bytes.
 const LineSize = 64
 
-// pageShift sizes backing pages at 4 KiB (512 words).
+// pageShift sizes backing pages at 4 KiB (512 words); regionShift groups
+// them into 2 MiB regions of 512 page refs.
 const (
-	pageShift = 12
-	pageWords = 1 << (pageShift - 3)
+	pageShift   = 12
+	pageWords   = 1 << (pageShift - 3)
+	regionShift = 21
+	regionPages = 1 << (regionShift - pageShift)
 )
 
-// pageRef is one backing page plus its ownership: pages seeded from a
-// shared Image are read-only until first write, when Store copies them
-// (copy-on-write). Pages faulted in by Store are private from birth.
-type pageRef struct {
-	p    *[pageWords]uint64
-	priv bool
+// regionSlots is the size of Backing's direct-mapped region cache. Regions
+// 128 MiB apart share a slot; every workload image lies in the 16-123 MiB
+// window, so its regions never do.
+const regionSlots = 64
+
+// page is one 4 KiB backing page.
+type page = [pageWords]uint64
+
+// region is one 2 MiB span of a backing: a ref per page (nil = never
+// written, reads as zero) and a bitmap of the pages this backing owns.
+// Pages it does not own are shared with an Image and read-only: Store
+// copies one before its first write (copy-on-write). Pages faulted in by
+// Store are owned from birth.
+type region struct {
+	pages [regionPages]*page
+	owned [regionPages / 64]uint64
 }
 
-// recentPages is how many recently written private pages Store keeps at
-// hand: workload initializers fill several arrays in lockstep (HashJoin
-// interleaves four), and a hit skips the page-map lookup.
-const recentPages = 4
-
-// recentPage is one entry of Store's cache: a page key and the private
-// page the map holds for it (nil when the entry is empty).
-type recentPage struct {
-	key uint64
-	p   *[pageWords]uint64
+// regionSlot caches one region lookup: tag is the region key plus one (0
+// = empty slot) and r the region, nil when the backing has none there.
+type regionSlot struct {
+	tag uint64
+	r   *region
 }
 
 // Backing is a sparse, paged functional memory. The zero value is not
@@ -46,17 +54,16 @@ type recentPage struct {
 // Accesses are aligned to 64-bit words: the low three address bits are
 // ignored, matching the mini-ISA's word-granular loads and stores.
 type Backing struct {
-	pages map[uint64]pageRef
-	// recent caches the last private pages writable returned, replaced
-	// round-robin at next. Every entry mirrors a private page of the
-	// map; Snapshot, which shares every page, empties it.
-	recent [recentPages]recentPage
-	next   uint
+	regions map[uint64]*region
+	// cache holds the most recent lookup of each slot's regions, absent
+	// regions included, so a hit reaches the page without hashing.
+	cache  [regionSlots]regionSlot
+	npages uint64 // distinct pages held, for Footprint
 }
 
 // NewBacking returns an empty memory; all addresses read as zero.
 func NewBacking() *Backing {
-	return &Backing{pages: make(map[uint64]pageRef)}
+	return &Backing{regions: make(map[uint64]*region)}
 }
 
 // Image is an immutable memory snapshot. Many Backings can be seeded from
@@ -65,7 +72,8 @@ func NewBacking() *Backing {
 // cell actually dirties, instead of re-running the workload initializer —
 // and re-allocating its full footprint — per cell.
 type Image struct {
-	pages map[uint64]*[pageWords]uint64
+	regions map[uint64]*[regionPages]*page
+	npages  uint64
 }
 
 // Snapshot freezes the backing's current contents into a shared Image.
@@ -73,79 +81,93 @@ type Image struct {
 // a later Store through this backing copies the page it lands on first,
 // and the image never changes under its readers.
 func (b *Backing) Snapshot() *Image {
-	img := &Image{pages: make(map[uint64]*[pageWords]uint64, len(b.pages))}
-	//vrlint:allow simdet -- each iteration writes only its own key in each map: the resulting maps are identical under any iteration order
-	for k, e := range b.pages {
-		img.pages[k] = e.p
-		b.pages[k] = pageRef{p: e.p}
+	img := &Image{regions: make(map[uint64]*[regionPages]*page, len(b.regions)), npages: b.npages}
+	//vrlint:allow simdet -- each iteration writes only its own key: the resulting map and regions are identical under any iteration order
+	for k, r := range b.regions {
+		pages := r.pages
+		img.regions[k] = &pages
+		r.owned = [regionPages / 64]uint64{}
 	}
-	b.recent = [recentPages]recentPage{}
 	return img
 }
 
 // NewBackingFrom returns a backing initialized to the image's contents,
 // copy-on-write: reads are served from the shared pages, and the first
-// store to a page copies it privately. Safe to call (and use the results)
-// from concurrent goroutines as long as each Backing stays goroutine-local.
+// store to a page copies it privately. Only the regions' page refs are
+// copied. Safe to call (and use the results) from concurrent goroutines
+// as long as each Backing stays goroutine-local.
 func NewBackingFrom(img *Image) *Backing {
-	pages := make(map[uint64]pageRef, len(img.pages))
+	b := &Backing{regions: make(map[uint64]*region, len(img.regions)), npages: img.npages}
 	//vrlint:allow simdet -- each iteration writes only its own key: the resulting map is identical under any iteration order
-	for k, p := range img.pages {
-		pages[k] = pageRef{p: p}
+	for k, pages := range img.regions {
+		b.regions[k] = &region{pages: *pages}
 	}
-	return &Backing{pages: pages}
+	return b
+}
+
+// lookup returns the region with the given key, nil if the backing has
+// none, through the region cache.
+func (b *Backing) lookup(key uint64) *region {
+	s := &b.cache[key%regionSlots]
+	if s.tag != key+1 {
+		*s = regionSlot{tag: key + 1, r: b.regions[key]}
+	}
+	return s.r
 }
 
 // Load returns the 64-bit word at addr (aligned down).
 func (b *Backing) Load(addr uint64) uint64 {
-	e, ok := b.pages[addr>>pageShift]
-	if !ok {
+	r := b.lookup(addr >> regionShift)
+	if r == nil {
 		return 0
 	}
-	return e.p[(addr>>3)&(pageWords-1)]
+	p := r.pages[(addr>>pageShift)&(regionPages-1)]
+	if p == nil {
+		return 0
+	}
+	return p[(addr>>3)&(pageWords-1)]
 }
 
-// Store writes the 64-bit word at addr (aligned down). A write to one of
-// the last recentPages private pages reached through the map skips the
-// map.
+// Store writes the 64-bit word at addr (aligned down).
 func (b *Backing) Store(addr, val uint64) {
-	key := addr >> pageShift
-	for _, r := range b.recent {
-		if r.p != nil && r.key == key {
-			r.p[(addr>>3)&(pageWords-1)] = val
-			return
-		}
-	}
-	b.writable(key)[(addr>>3)&(pageWords-1)] = val
+	b.writable(addr)[(addr>>3)&(pageWords-1)] = val
 }
 
 // StoreSlice writes vals as consecutive 64-bit words starting at addr
 // (aligned down), copying one page span at a time.
 func (b *Backing) StoreSlice(addr uint64, vals []uint64) {
 	for len(vals) > 0 {
-		n := copy(b.writable(addr >> pageShift)[(addr>>3)&(pageWords-1):], vals)
+		n := copy(b.writable(addr)[(addr>>3)&(pageWords-1):], vals)
 		vals = vals[n:]
 		addr += uint64(n) * 8
 	}
 }
 
-// writable returns the private page with the given key, reached through
-// the map: a missing page is allocated and a page shared with an image is
-// copied first. The page joins the recent cache.
-func (b *Backing) writable(key uint64) *[pageWords]uint64 {
-	e, ok := b.pages[key]
-	if !ok {
-		e = pageRef{p: new([pageWords]uint64), priv: true}
-		b.pages[key] = e
-	} else if !e.priv {
-		p := new([pageWords]uint64)
-		*p = *e.p
-		e = pageRef{p: p, priv: true}
-		b.pages[key] = e
+// writable returns the page holding addr, owned by this backing: a
+// missing region or page is allocated, and a page shared with an image
+// is copied first.
+func (b *Backing) writable(addr uint64) *page {
+	key := addr >> regionShift
+	r := b.lookup(key)
+	if r == nil {
+		r = new(region)
+		b.regions[key] = r
+		b.cache[key%regionSlots].r = r
 	}
-	b.recent[b.next%recentPages] = recentPage{key: key, p: e.p}
-	b.next++
-	return e.p
+	i := (addr >> pageShift) & (regionPages - 1)
+	word, bit := i/64, uint64(1)<<(i%64)
+	if r.owned[word]&bit != 0 {
+		return r.pages[i]
+	}
+	p := new(page)
+	if r.pages[i] != nil {
+		*p = *r.pages[i]
+	} else {
+		b.npages++
+	}
+	r.pages[i] = p
+	r.owned[word] |= bit
+	return p
 }
 
 // LoadSlice reads n consecutive 64-bit words starting at addr. A
@@ -164,5 +186,5 @@ func (b *Backing) LoadSlice(addr uint64, n int) []uint64 {
 // Footprint returns the number of bytes of allocated pages, a proxy for
 // the workload's touched data size.
 func (b *Backing) Footprint() uint64 {
-	return uint64(len(b.pages)) << pageShift
+	return b.npages << pageShift
 }

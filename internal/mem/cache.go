@@ -27,24 +27,30 @@ func (s PrefetchSource) String() string {
 	return "unknown"
 }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-	// src/unused implement first-use prefetch accounting.
-	src    PrefetchSource
-	unused bool // true until the first demand access after a prefetch fill
-}
+// Per-way state bits: the dirty flag, the unused-prefetch mark (set by a
+// prefetch fill, cleared by the first demand access, for first-use
+// prefetch accounting) and, above them, the fill source.
+const (
+	wayDirty  uint8 = 1 << 0
+	wayUnused uint8 = 1 << 1
+	srcShift        = 2
+)
 
 // Cache is one set-associative, write-back, write-allocate cache level with
 // LRU replacement. It models tags only; data lives in Backing.
+//
+// Ways are stored as columns indexed set*ways+way, so a probe scans only
+// the set's 8-byte tags: tags holds line+1 (0 marks an invalid way), lru
+// the recency stamps (larger = more recently used) and state the
+// wayDirty/wayUnused bits with the fill source above them.
 type Cache struct {
 	name     string
 	sets     int
 	ways     int
 	latency  uint64 // access latency in cycles
-	lines    []cacheLine
+	tags     []uint64
+	lru      []uint64
+	state    []uint8
 	lruClock uint64
 
 	// Stats
@@ -68,7 +74,9 @@ func NewCache(name string, sizeBytes, ways int, latency uint64) (*Cache, error) 
 		sets:    sets,
 		ways:    ways,
 		latency: latency,
-		lines:   make([]cacheLine, sets*ways),
+		tags:    make([]uint64, sets*ways),
+		lru:     make([]uint64, sets*ways),
+		state:   make([]uint8, sets*ways),
 	}, nil
 }
 
@@ -78,73 +86,71 @@ func (c *Cache) Name() string { return c.name }
 // Latency returns the access latency in cycles.
 func (c *Cache) Latency() uint64 { return c.latency }
 
-func (c *Cache) set(line uint64) []cacheLine {
-	s := int(line) & (c.sets - 1)
-	return c.lines[s*c.ways : (s+1)*c.ways]
+// set returns the column index of the line's set's first way.
+func (c *Cache) set(line uint64) int { return (int(line) & (c.sets - 1)) * c.ways }
+
+// find returns the column index of the line's way, or -1 if it is absent.
+func (c *Cache) find(line uint64) int {
+	base := c.set(line)
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == line+1 {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// touch makes way i the most recently used and marks it dirty on a write.
+func (c *Cache) touch(i int, isWrite bool) {
+	c.lruClock++
+	c.lru[i] = c.lruClock
+	if isWrite {
+		c.state[i] |= wayDirty
+	}
 }
 
 // Lookup probes for the line (a line number, i.e. addr/LineSize). On hit it
 // updates recency, clears the unused-prefetch mark, and returns the fill
 // source recorded for the line. It does not count stats; Hierarchy does.
 func (c *Cache) Lookup(line uint64, isWrite bool) (src PrefetchSource, wasUnused, hit bool) {
-	set := c.set(line)
-	for i := range set {
-		cl := &set[i]
-		if cl.valid && cl.tag == line {
-			c.lruClock++
-			cl.lru = c.lruClock
-			src, wasUnused = cl.src, cl.unused
-			cl.unused = false
-			if isWrite {
-				cl.dirty = true
-			}
-			return src, wasUnused, true
-		}
+	i := c.find(line)
+	if i < 0 {
+		return SrcDemand, false, false
 	}
-	return SrcDemand, false, false
+	c.touch(i, isWrite)
+	st := c.state[i]
+	c.state[i] = st &^ wayUnused
+	return PrefetchSource(st >> srcShift), st&wayUnused != 0, true
 }
 
 // Contains reports whether the line is present, without touching recency.
-func (c *Cache) Contains(line uint64) bool {
-	set := c.set(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(line uint64) bool { return c.find(line) >= 0 }
 
 // Insert fills the line, evicting the LRU victim if the set is full.
 // It returns the evicted line number and whether an eviction of a valid
 // (and dirty) line occurred.
 func (c *Cache) Insert(line uint64, isWrite bool, src PrefetchSource) (victim uint64, evicted, dirty bool) {
-	set := c.set(line)
-	// Already present (e.g. racing fills): refresh.
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			c.lruClock++
-			set[i].lru = c.lruClock
-			if isWrite {
-				set[i].dirty = true
-			}
+	base := c.set(line)
+	// One pass finds the line if already present (e.g. racing fills) and
+	// otherwise the victim: the first invalid way, else the LRU way.
+	vi, free := base, false
+	for w, t := range c.tags[base : base+c.ways] {
+		i := base + w
+		switch {
+		case t == line+1:
+			c.touch(i, isWrite)
 			return 0, false, false
-		}
-	}
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			vi = i
-			break
-		}
-		if set[i].lru < set[vi].lru {
+		case free:
+		case t == 0:
+			vi, free = i, true
+		case c.lru[i] < c.lru[vi]:
 			vi = i
 		}
 	}
-	v := &set[vi]
-	if v.valid {
-		victim, evicted, dirty = v.tag, true, v.dirty
-		if v.unused && v.src != SrcDemand {
+	if !free {
+		st := c.state[vi]
+		victim, evicted, dirty = c.tags[vi]-1, true, st&wayDirty != 0
+		if st&wayUnused != 0 && PrefetchSource(st>>srcShift) != SrcDemand {
 			c.PrefetchEvictedUnused++
 		}
 		if dirty {
@@ -152,28 +158,16 @@ func (c *Cache) Insert(line uint64, isWrite bool, src PrefetchSource) (victim ui
 		}
 	}
 	c.lruClock++
-	*v = cacheLine{
-		tag:    line,
-		valid:  true,
-		dirty:  isWrite,
-		lru:    c.lruClock,
-		src:    src,
-		unused: src != SrcDemand,
+	c.tags[vi], c.lru[vi] = line+1, c.lruClock
+	st := uint8(src) << srcShift
+	if isWrite {
+		st |= wayDirty
 	}
+	if src != SrcDemand {
+		st |= wayUnused
+	}
+	c.state[vi] = st
 	return victim, evicted, dirty
-}
-
-// Invalidate drops the line if present, returning whether it was dirty.
-func (c *Cache) Invalidate(line uint64) (wasDirty, present bool) {
-	set := c.set(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			d := set[i].dirty
-			set[i] = cacheLine{}
-			return d, true
-		}
-	}
-	return false, false
 }
 
 // ResetStats zeroes the counters, keeping cache contents.
@@ -183,9 +177,9 @@ func (c *Cache) ResetStats() {
 
 // Reset clears all lines and statistics.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{}
-	}
+	clear(c.tags)
+	clear(c.lru)
+	clear(c.state)
 	c.lruClock = 0
 	c.Hits, c.Misses, c.DirtyEvicts, c.PrefetchEvictedUnused = 0, 0, 0, 0
 }

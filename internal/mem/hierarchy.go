@@ -66,11 +66,6 @@ type AccessEvent struct {
 	Cycle   uint64
 	Level   Level
 	IsWrite bool
-	// Value is the 64-bit word at Addr (loads only; zero when no backing
-	// store is attached). Indirect prefetchers correlate index values with
-	// subsequent miss addresses, mirroring how hardware IMP snoops fill
-	// data.
-	Value uint64
 }
 
 // Prefetcher observes demand traffic and issues prefetches back into the
@@ -95,8 +90,9 @@ type Hierarchy struct {
 	MSHR *MSHRFile
 	DRAM *DRAM
 
-	// Data optionally points at the functional backing store so prefetcher
-	// training events can carry load values (see AccessEvent.Value).
+	// Data optionally points at the functional backing store, from which
+	// indirect prefetchers read the index values they correlate with
+	// later miss addresses.
 	Data *Backing
 
 	// PerfectL1 makes every access an L1 hit — the evaluation's Oracle,
@@ -238,11 +234,7 @@ func (h *Hierarchy) Access(cycle uint64, pc int, addr uint64, isWrite bool, clas
 			h.Stats.TimelinessHits[res.PrefetchedBy][lvl]++
 		}
 		if h.pf != nil {
-			ev := AccessEvent{PC: pc, Addr: addr, Cycle: cycle, Level: res.Level, IsWrite: isWrite}
-			if !isWrite && h.Data != nil {
-				ev.Value = h.Data.Load(addr)
-			}
-			h.pf.OnAccess(h, ev)
+			h.pf.OnAccess(h, AccessEvent{PC: pc, Addr: addr, Cycle: cycle, Level: res.Level, IsWrite: isWrite})
 		}
 	} else if class == ClassRunahead && !res.Dropped {
 		h.Stats.RunaheadAccesses[res.Level]++
@@ -253,7 +245,14 @@ func (h *Hierarchy) Access(cycle uint64, pc int, addr uint64, isWrite bool, clas
 // Prefetch injects a hardware-prefetch fill for addr. It returns the
 // completion cycle, or Dropped if no MSHR was free or the line was already
 // present or in flight.
+//
+// Under PerfectL1 nothing ever misses, so the MSHR file and the L1 tags
+// stay empty and every prefetch is an issued L1 hit.
 func (h *Hierarchy) Prefetch(cycle uint64, addr uint64, src PrefetchSource) Result {
+	if h.PerfectL1 {
+		h.Stats.PrefetchIssued[src]++
+		return h.perfectHit(cycle)
+	}
 	line := Line(addr)
 	if done, _, ok := h.MSHR.Outstanding(line, cycle); ok {
 		return Result{Done: done, Level: InFlight, Dropped: true}
@@ -261,14 +260,21 @@ func (h *Hierarchy) Prefetch(cycle uint64, addr uint64, src PrefetchSource) Resu
 	if h.L1D.Contains(line) {
 		return Result{Done: cycle, Level: AtL1, Dropped: true}
 	}
-	res := h.accessLine(cycle, line, false, ClassHWPrefetch, src)
+	res := h.primaryMiss(cycle, line, false, ClassHWPrefetch, src)
 	if !res.Dropped {
 		h.Stats.PrefetchIssued[src]++
 	}
 	return res
 }
 
-// accessLine is the shared miss-handling path.
+// perfectHit serves an access under PerfectL1.
+func (h *Hierarchy) perfectHit(cycle uint64) Result {
+	h.L1D.Hits++
+	return Result{Done: cycle + h.L1D.Latency(), Level: AtL1}
+}
+
+// accessLine is the shared access path: a merge into an outstanding miss,
+// an L1 hit, or a primary miss.
 //
 // Lines are inserted into the caches at allocation time but remain covered
 // by their MSHR entry until the fill completes; the in-flight check
@@ -276,8 +282,7 @@ func (h *Hierarchy) Prefetch(cycle uint64, addr uint64, src PrefetchSource) Resu
 // fill observe the fill latency rather than an instant hit.
 func (h *Hierarchy) accessLine(cycle uint64, line uint64, isWrite bool, class Class, src PrefetchSource) Result {
 	if h.PerfectL1 {
-		h.L1D.Hits++
-		return Result{Done: cycle + h.L1D.Latency(), Level: AtL1}
+		return h.perfectHit(cycle)
 	}
 	// Secondary miss: merge with the outstanding request.
 	if done, msrc, ok := h.MSHR.Outstanding(line, cycle); ok {
@@ -301,11 +306,15 @@ func (h *Hierarchy) accessLine(cycle uint64, line uint64, isWrite bool, class Cl
 		}
 		return Result{Done: cycle + h.L1D.Latency(), Level: AtL1, PrefetchedBy: pb}
 	}
-	h.L1D.Misses++
+	return h.primaryMiss(cycle, line, isWrite, class, src)
+}
 
-	// Primary miss: allocate an MSHR. Demand and runahead accesses pay the
-	// L1 lookup before the miss is detected; hardware prefetches do not
-	// (they are generated by the miss stream itself).
+// primaryMiss handles a line that is neither in flight nor in the L1: it
+// allocates an MSHR and fills from L2, L3 or DRAM. Demand and runahead
+// accesses pay the L1 lookup before the miss is detected; hardware
+// prefetches do not (they are generated by the miss stream itself).
+func (h *Hierarchy) primaryMiss(cycle uint64, line uint64, isWrite bool, class Class, src PrefetchSource) Result {
+	h.L1D.Misses++
 	var start uint64
 	if class == ClassHWPrefetch {
 		if h.Faults != nil && h.Faults.dropPrefetch() {
@@ -378,21 +387,9 @@ func (h *Hierarchy) accessLine(cycle uint64, line uint64, isWrite bool, class Cl
 	return Result{Done: done, Level: lvl, PrefetchedBy: pb}
 }
 
-// ResetStats zeroes every statistic while keeping cache contents, MSHR
-// entries and the DRAM schedule — the region-of-interest boundary. Prefer
-// ResetStatsAt with the core's current cycle: it clamps the MSHR occupancy
-// integral exactly at the window boundary.
-func (h *Hierarchy) ResetStats() {
-	h.L1D.ResetStats()
-	h.L2.ResetStats()
-	h.L3.ResetStats()
-	h.MSHR.ResetStats()
-	h.DRAM.ResetStats()
-	h.Stats = HierStats{}
-}
-
-// ResetStatsAt is ResetStats with an explicit region-of-interest boundary
-// cycle: misses still in flight at the reset contribute only their
+// ResetStatsAt zeroes every statistic while keeping cache contents, MSHR
+// entries and the DRAM schedule — the region-of-interest boundary at the
+// given cycle: misses still in flight at the reset contribute only their
 // remaining latency to the MSHR occupancy integral (see
 // MSHRFile.ResetStatsAt).
 func (h *Hierarchy) ResetStatsAt(cycle uint64) {

@@ -64,12 +64,17 @@ func TestBackingProperty(t *testing.T) {
 
 // TestBackingCopyOnWrite: stores through a backing seeded from an Image
 // land in private copies — never in the image or a sibling backing — even
-// when they interleave over more pages than Store's recent-page cache
-// holds, and a Snapshot shares every page so no later store writes
-// through into it.
+// when they interleave over pages of three regions that share one slot of
+// the region cache, so nearly every store misses it, and a Snapshot shares
+// every page so no later store writes through into it.
 func TestBackingCopyOnWrite(t *testing.T) {
-	const pages = 2*recentPages + 1
-	word := func(pg, i int) uint64 { return uint64(pg)<<pageShift + uint64(i)*8 }
+	// Pages 0-2 are the first pages of the three aliasing regions and
+	// pages 3-5 their last pages.
+	const pages = 6
+	word := func(pg, i int) uint64 {
+		region := uint64(8 + (pg%3)*regionSlots)
+		return region<<regionShift + uint64(pg/3*(regionPages-1))<<pageShift + uint64(i)*8
+	}
 	src := NewBacking()
 	for pg := 0; pg < pages; pg++ {
 		src.Store(word(pg, 0), uint64(pg))
@@ -120,11 +125,10 @@ func TestBackingCopyOnWrite(t *testing.T) {
 // TestStoreSliceMatchesStore: StoreSlice leaves a backing exactly as
 // per-word Stores would, on spans that start mid-page (one at an
 // unaligned address) and cross several page boundaries, into a fresh
-// backing and into one seeded from an image. Stores first warm the
-// recent-page cache in an order unlike the spans', so a span that starts
-// on a cached page other than the last one written is covered. The image
-// never changes, and a later Store lands in the private copy StoreSlice
-// made.
+// backing and into one seeded from an image. Stores first write a few
+// pages in an order unlike the spans', so the spans cross pages that are
+// owned, shared with the image and absent. The image never changes, and
+// a later Store lands in the private copy StoreSlice made.
 func TestStoreSliceMatchesStore(t *testing.T) {
 	const base = 0x40000
 	word := func(pg, i int) uint64 { return base + uint64(pg)<<pageShift + uint64(i)*8 }
@@ -242,20 +246,6 @@ func TestCachePrefetchUnusedAccounting(t *testing.T) {
 	c.Insert(3, false, SrcDemand)
 	if c.PrefetchEvictedUnused != 0 {
 		t.Errorf("used prefetch counted as unused")
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := mustCache(t, "t", 2*64*2, 2, 4)
-	c.Insert(5, true, SrcDemand)
-	if dirty, present := c.Invalidate(5); !present || !dirty {
-		t.Error("invalidate of dirty line misreported")
-	}
-	if c.Contains(5) {
-		t.Error("line still present after invalidate")
-	}
-	if _, present := c.Invalidate(5); present {
-		t.Error("double invalidate reported present")
 	}
 }
 

@@ -1,5 +1,7 @@
 package mem
 
+import "math"
+
 // MSHRFile models the L1-D miss status holding registers: the hard limit on
 // how many distinct line misses can be outstanding at once (24 in the
 // paper's Table 1). Vector Runahead's whole point is to keep this structure
@@ -18,13 +20,16 @@ type MSHRFile struct {
 	done  []uint64
 	srcs  []PrefetchSource
 	n     int
+	// minDone is a lower bound on done[0:n] (MaxUint64 when empty): no
+	// entry can expire before it, so expire skips the compaction. Complete
+	// lowers it and each compaction resets it to the survivors' minimum.
+	minDone uint64
 
 	// Stats
 	Allocations   uint64
 	Merges        uint64 // secondary misses folded into an existing entry
 	StallEvents   uint64 // allocations that had to wait for a free MSHR
 	occupancyArea uint64 // sum over misses of (done - start): occupancy integral
-	lastCycle     uint64 // most recent observation point, for GC only
 }
 
 // NewMSHRFile returns a file with the given number of entries.
@@ -37,6 +42,7 @@ func NewMSHRFile(capacity int) *MSHRFile {
 		lines:    make([]uint64, capacity),
 		done:     make([]uint64, capacity),
 		srcs:     make([]PrefetchSource, capacity),
+		minDone:  math.MaxUint64,
 	}
 }
 
@@ -45,19 +51,22 @@ func (m *MSHRFile) Capacity() int { return m.capacity }
 
 // expire drops entries whose miss completed at or before cycle.
 func (m *MSHRFile) expire(cycle uint64) {
-	if cycle > m.lastCycle {
-		m.lastCycle = cycle
+	if cycle < m.minDone {
+		return
 	}
 	w := 0
+	minDone := uint64(math.MaxUint64)
 	for i := 0; i < m.n; i++ {
-		if m.done[i] > cycle {
+		if d := m.done[i]; d > cycle {
 			m.lines[w] = m.lines[i]
-			m.done[w] = m.done[i]
+			m.done[w] = d
 			m.srcs[w] = m.srcs[i]
+			minDone = min(minDone, d)
 			w++
 		}
 	}
 	m.n = w
+	m.minDone = minDone
 }
 
 // Outstanding returns the completion cycle and requesting source if the
@@ -74,9 +83,9 @@ func (m *MSHRFile) Outstanding(line uint64, cycle uint64) (done uint64, src Pref
 }
 
 // InFlightAt counts the outstanding misses at the given cycle without
-// mutating the file: no entries are expired and lastCycle does not
-// advance, so observers (the oracle's invariant checks, failure
-// snapshots, vrtrace) can sample it without perturbing the run.
+// mutating the file: no entries are expired, so observers (the oracle's
+// invariant checks, failure snapshots, vrtrace) can sample it without
+// perturbing the run.
 func (m *MSHRFile) InFlightAt(cycle uint64) int {
 	n := 0
 	for _, d := range m.done[:m.n] {
@@ -107,10 +116,8 @@ func (m *MSHRFile) Acquire(cycle uint64) (start uint64) {
 			ei = i
 		}
 	}
-	// Free that entry as of `earliest`.
-	if earliest > m.lastCycle {
-		m.lastCycle = earliest
-	}
+	// Free that entry as of `earliest`. The survivors complete no earlier,
+	// so minDone stays a lower bound.
 	last := m.n - 1
 	m.lines[ei] = m.lines[last]
 	m.done[ei] = m.done[last]
@@ -139,6 +146,7 @@ func (m *MSHRFile) Complete(line, start, done uint64, src PrefetchSource) {
 	m.done[m.n] = done
 	m.srcs[m.n] = src
 	m.n++
+	m.minDone = min(m.minDone, done)
 	if done > start {
 		m.occupancyArea += done - start
 	}
@@ -152,13 +160,6 @@ func (m *MSHRFile) AvgOccupancy(totalCycles uint64) float64 {
 		return 0
 	}
 	return float64(m.occupancyArea) / float64(totalCycles)
-}
-
-// ResetStats zeroes the counters, keeping outstanding entries, clamped at
-// the file's latest observation point; prefer ResetStatsAt with the
-// caller's current cycle, which is exact.
-func (m *MSHRFile) ResetStats() {
-	m.ResetStatsAt(m.lastCycle)
 }
 
 // ResetStatsAt zeroes the counters as of the given cycle, keeping
@@ -177,7 +178,6 @@ func (m *MSHRFile) ResetStatsAt(cycle uint64) {
 
 // Reset clears all entries and statistics.
 func (m *MSHRFile) Reset() {
-	m.n = 0
-	m.Allocations, m.Merges, m.StallEvents = 0, 0, 0
-	m.occupancyArea, m.lastCycle = 0, 0
+	m.n, m.minDone = 0, math.MaxUint64
+	m.Allocations, m.Merges, m.StallEvents, m.occupancyArea = 0, 0, 0, 0
 }

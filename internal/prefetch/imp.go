@@ -85,7 +85,13 @@ func (p *IMP) OnAccess(h *mem.Hierarchy, ev mem.AccessEvent) {
 		// This is a striding index load: try to trigger learned patterns
 		// and remember it for pairing with upcoming indirect loads.
 		p.trigger(h, ev, e)
-		p.lastIndex = indexObs{pc: ev.PC, addr: ev.Addr, stride: e.Stride, value: ev.Value}
+		// The index value, which hardware IMP snoops from the fill data
+		// (0 without a backing store).
+		var value uint64
+		if h.Data != nil {
+			value = h.Data.Load(ev.Addr)
+		}
+		p.lastIndex = indexObs{pc: ev.PC, addr: ev.Addr, stride: e.Stride, value: value}
 		p.haveIndex = true
 		return
 	}
