@@ -3,7 +3,8 @@
 // hot path's allocation budget between PRs.
 //
 // Record mode parses `go test -bench -benchmem` output from stdin into a
-// baseline file (median per benchmark when -count ran it repeatedly):
+// baseline file (median per benchmark, with the ns/op quartiles beside
+// it, when -count ran it repeatedly):
 //
 //	go test -bench=. -benchmem -run='^$' . | go run ./scripts/benchdiff -record BENCH_NOW.json
 //
@@ -15,7 +16,7 @@
 // slowdown of the recorded median fails) and exists to catch order-of-
 // magnitude pathologies, not jitter:
 //
-//	go run ./scripts/benchdiff -old BENCH_PR9.json -new BENCH_NOW.json -threshold 25 -nsthreshold 100
+//	go run ./scripts/benchdiff -old BENCH_PR17.json -new BENCH_NOW.json -threshold 25 -nsthreshold 100
 //
 // Only the standard library is used.
 package main
@@ -34,11 +35,15 @@ import (
 )
 
 // Benchmark is one benchmark's recorded result, matching the schema of
-// the existing BENCH_PR*.json baselines.
+// the existing BENCH_PR*.json baselines. Iterations is the per-sample
+// iteration count; the quartiles give the spread of ns/op over the
+// samples (equal to the median for a single sample).
 type Benchmark struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsP25       float64 `json:"ns_per_op_p25"`
+	NsP75       float64 `json:"ns_per_op_p75"`
 	BPerOp      int64   `json:"B_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
@@ -49,7 +54,6 @@ type Baseline struct {
 	Date       string      `json:"date"`
 	Go         string      `json:"go"`
 	CPU        string      `json:"cpu"`
-	Benchtime  string      `json:"benchtime"`
 	Note       string      `json:"note"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -121,12 +125,11 @@ func recordBaseline(file string, pr int, note string) error {
 		return fmt.Errorf("no benchmark lines found on stdin")
 	}
 	base := Baseline{
-		PR:        pr,
-		Date:      time.Now().Format("2006-01-02"),
-		Go:        runtime.Version(),
-		CPU:       cpu,
-		Benchtime: "1x",
-		Note:      note,
+		PR:   pr,
+		Date: time.Now().Format("2006-01-02"),
+		Go:   runtime.Version(),
+		CPU:  cpu,
+		Note: note,
 	}
 	for _, name := range order {
 		base.Benchmarks = append(base.Benchmarks, median(byName[name]))
@@ -180,12 +183,13 @@ func parseBenchLine(line string) (Benchmark, bool) {
 
 // median reduces repeated runs of one benchmark (-count N) to
 // component-wise medians: allocs/op and B/op from the run with median
-// allocs/op, ns/op as the median of the ns/op samples independently.
-// The split matters because the metrics are differently noisy — the
-// first run of a process pays one-time construction (caches, images)
-// that later runs amortize, and wall-clock jitters run-to-run, so a
-// single "median run" can pair a representative alloc count with an
-// outlier time. Ties and even counts take the lower middle.
+// allocs/op, ns/op as the median of the ns/op samples independently,
+// with their quartiles. The split matters because the metrics are
+// differently noisy — the first run of a process pays one-time
+// construction (caches, images) that later runs amortize, and wall-clock
+// jitters run-to-run, so a single "median run" can pair a representative
+// alloc count with an outlier time. Each statistic is the sample at rank
+// floor(p·(N-1)), so ties and even counts take the lower middle.
 func median(runs []Benchmark) Benchmark {
 	sort.Slice(runs, func(i, j int) bool { return runs[i].AllocsPerOp < runs[j].AllocsPerOp })
 	m := runs[(len(runs)-1)/2]
@@ -194,7 +198,8 @@ func median(runs []Benchmark) Benchmark {
 		ns[i] = r.NsPerOp
 	}
 	sort.Float64s(ns)
-	m.NsPerOp = ns[(len(ns)-1)/2]
+	rank := func(p float64) float64 { return ns[int(p*float64(len(ns)-1))] }
+	m.NsP25, m.NsPerOp, m.NsP75 = rank(0.25), rank(0.5), rank(0.75)
 	return m
 }
 
@@ -296,7 +301,7 @@ func readBaseline(file string) (Baseline, error) {
 	data, err := os.ReadFile(file)
 	if os.IsNotExist(err) {
 		return Baseline{}, fmt.Errorf(
-			"baseline %s does not exist; record one with `go test -bench=. -benchmem -benchtime=1x -count=6 -run='^$' . | go run ./scripts/benchdiff -record %s`",
+			"baseline %s does not exist; record one by piping the benchmark runs of `make benchdiff` into `go run ./scripts/benchdiff -record %s`",
 			file, file)
 	}
 	if err != nil {
