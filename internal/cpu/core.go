@@ -570,13 +570,13 @@ func (c *Core) Run(budget uint64) error {
 // pays one nil test plus a counter per cycle, and nothing at all through
 // Run. A nil check (or every == 0) disables the hook.
 //
-// When the core can prove a span of cycles inert — stalled on a single
-// outstanding memory return with every stage, the fetch unit and the
-// engine quiescent — it fast-forwards the clock across the span instead
-// of stepping it (see idleWindow). The skip is bounded so the periodic
-// hook, the watchdog and the cycle limit all fire at exactly the cycles
-// they would have under stepping; a run with fast-forward is
-// byte-identical to one without.
+// When the core can prove a span of cycles inert — stalled on the load at
+// the ROB head with nothing ready to issue, nothing due to wake, and the
+// fetch unit and the engine quiescent — it fast-forwards the clock across
+// the span instead of stepping it (see idleWindow). The skip is bounded
+// so the periodic hook, the watchdog and the cycle limit all fire at
+// exactly the cycles they would have under stepping; a run with
+// fast-forward is byte-identical to one without.
 func (c *Core) RunChecked(budget, every uint64, check func() error) error {
 	lastCommitted := c.Stats.Committed
 	lastProgress := c.cycle
@@ -638,45 +638,42 @@ func (c *Core) RunChecked(budget, every uint64, check func() error) error {
 }
 
 // idleWindow returns how many upcoming cycles are provably inert — the
-// core is stalled on one outstanding load at the ROB head and no pipeline
+// core is stalled on an outstanding load at the ROB head and no pipeline
 // stage, the fetch unit or the engine can change any state before the
 // window ends — or 0 when idleness cannot be proven. The preconditions:
 //
 //   - the ROB head is an issued load whose data has not returned;
-//   - the issue queue and the wake queue are empty: every in-flight
-//     instruction has issued and every in-flight store has captured its
-//     value, so the issue stage cannot act;
+//   - the ready list is empty, so select has nothing to try. Every other
+//     unissued instruction waits on a producer that cannot issue before
+//     something leaves the wake queue, or in the wake queue itself;
 //   - fetch is quiescent: stopped at a Halt, or the front queue is full;
 //   - the attached engine proves its own inertness via EngineIdler (a
-//     detached engine is trivially inert);
-//   - dispatch either has nothing ready, or is pinned against a back-end
-//     resource that only commit could free.
+//     detached engine is trivially inert).
 //
-// The window ends at the head load's return — or earlier, at the moment a
-// front-queue slot clears the front-end pipeline into a dispatch that
-// would accept it. skipIdle then replays exactly the per-cycle statistics
-// Step would have recorded across the window.
+// The window ends at the earliest of three cycles: the head load's
+// return, the wake queue's earliest entry (an instruction joining the
+// ready list, or a store capturing its value), and the cycle the
+// front-queue head clears the front-end pipeline into a dispatch stage
+// that would accept it. skipIdle then replays exactly the per-cycle
+// statistics Step would have recorded across the window.
 func (c *Core) idleWindow() uint64 {
-	if c.count == 0 {
+	if c.count == 0 || c.readyLen != 0 {
 		return 0
 	}
 	h := &c.rob[c.head]
 	if !h.in.IsLoad() || !h.issued || !h.done || h.readyCycle <= c.cycle {
 		return 0
 	}
-	if c.iqLen != 0 {
-		return 0
-	}
 	if c.engine != nil && (c.idler == nil || !c.idler.EngineIdle(c.cycle, h.readyCycle)) {
 		return 0
-	}
-	if c.wakeLen != 0 {
-		return 0 // a store still waits for its value
 	}
 	if !c.fetchStopped && c.fqLen < c.cfg.FetchBufSize {
 		return 0
 	}
 	end := h.readyCycle
+	if q := c.wakeq; c.wakeLen > 0 && len(q) > 0 && q[0].at < end {
+		end = q[0].at
+	}
 	if q := c.frontQ; c.fqLen > 0 && len(q) > 0 {
 		fs := &q[uint(c.fqHead)&uint(len(q)-1)]
 		if !c.dispatchWouldBlock(&fs.in) && fs.readyAt < end {
@@ -690,11 +687,15 @@ func (c *Core) idleWindow() uint64 {
 }
 
 // dispatchWouldBlock reports whether dispatch would reject the
-// instruction for a full back-end resource. Only valid with an empty
-// issue queue (idleWindow's precondition), which rules out an IQ rejection.
+// instruction for a full back-end resource: the ROB, the issue queue (for
+// everything but Nop and Halt, which never enter it), the load queue or
+// the store queue. dispatch and skipIdle both decide through it, so a
+// skipped window records exactly the rejections stepping would.
 func (c *Core) dispatchWouldBlock(in *isa.Instr) bool {
 	switch {
 	case c.count == c.cfg.ROBSize:
+		return true
+	case c.iqLen == c.cfg.IQSize && in.FU() != isa.FUNone:
 		return true
 	case in.IsLoad() && c.lqCount == c.cfg.LQSize:
 		return true
@@ -1401,21 +1402,10 @@ func (c *Core) dispatch() {
 			return
 		}
 		fs := q[head]
-		if c.count == c.cfg.ROBSize {
-			c.Stats.DispatchBlockedROB++
-			c.dispatchBlocked = true
-			return
-		}
-		needsIQ := fs.in.Op != isa.Nop && !fs.in.IsHalt()
-		if needsIQ && c.iqLen == c.cfg.IQSize {
-			c.dispatchBlocked = true
-			return
-		}
-		if fs.in.IsLoad() && c.lqCount == c.cfg.LQSize {
-			c.dispatchBlocked = true
-			return
-		}
-		if fs.in.IsStore() && c.sqCount == c.cfg.SQSize {
+		if c.dispatchWouldBlock(&fs.in) {
+			if c.count == c.cfg.ROBSize {
+				c.Stats.DispatchBlockedROB++
+			}
 			c.dispatchBlocked = true
 			return
 		}
@@ -1449,7 +1439,7 @@ func (c *Core) dispatch() {
 			c.renameSeq[fs.in.Dst] = e.seq
 		}
 		switch {
-		case fs.in.Op == isa.Nop, fs.in.IsHalt():
+		case fs.in.FU() == isa.FUNone: // Nop and Halt
 			e.done = true
 			e.readyCycle = c.cycle
 		default:
