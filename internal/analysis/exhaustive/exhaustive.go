@@ -9,7 +9,11 @@
 //     non-sentinel constant of that type or carries an explicit default;
 //   - an array indexed by an enum that has a Num* sentinel is sized by
 //     that sentinel (length equality is checked, so a hand-written size
-//     that drifts from the enum is flagged).
+//     that drifts from the enum is flagged);
+//   - a keyed array literal sized by such a sentinel, whose keys are that
+//     enum's constants, has an element for every member: it is a
+//     per-member table (isa's opcode table is one), and a missing row
+//     would read as the element type's zero value.
 //
 // Only enum types declared inside this module (import path vrsim/...) are
 // checked: switches over go/token.Token and friends are none of our
@@ -31,7 +35,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "exhaustive",
 	Doc: "check that switches over simulator enums cover every member " +
-		"(or default) and enum-indexed arrays are sized by the Num* sentinel",
+		"(or default), enum-indexed arrays are sized by the Num* sentinel, " +
+		"and keyed tables over an enum have a row for every member",
 	Run: run,
 }
 
@@ -47,6 +52,8 @@ func run(pass *analysis.Pass) error {
 				checkSwitch(pass, n)
 			case *ast.IndexExpr:
 				checkIndex(pass, n)
+			case *ast.CompositeLit:
+				checkTable(pass, n)
 			}
 			return true
 		})
@@ -188,6 +195,56 @@ func checkIndex(pass *analysis.Pass, ix *ast.IndexExpr) {
 		pass.Reportf(ix.Pos(), "array of length %d indexed by %s should be sized by %s (%d)",
 			arr.Len(), typeName(e.named), e.sentinel.Name(), want)
 	}
+}
+
+// checkTable flags a keyed array literal over an enum, sized by the
+// enum's sentinel, that leaves a member without an element. Literals with
+// a positional element or a non-constant key are not tables and are
+// skipped.
+func checkTable(pass *analysis.Pass, lit *ast.CompositeLit) {
+	tv, ok := pass.Info.Types[lit]
+	if !ok || len(lit.Elts) == 0 {
+		return
+	}
+	arr, ok := tv.Type.Underlying().(*types.Array)
+	if !ok {
+		return
+	}
+	var e *enum
+	covered := map[string]bool{}
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			return
+		}
+		ktv, ok := pass.Info.Types[kv.Key]
+		if !ok || ktv.Value == nil {
+			return
+		}
+		if e == nil {
+			if e = enumOf(pass, ktv.Type); e == nil || e.sentinel == nil {
+				return
+			}
+		} else if !types.Identical(ktv.Type, e.named) {
+			return
+		}
+		covered[ktv.Value.ExactString()] = true
+	}
+	if want, ok := sentinelValue(e.sentinel); !ok || arr.Len() != want {
+		return
+	}
+	var missing []string
+	for _, m := range e.members {
+		if !covered[m.val] {
+			missing = append(missing, m.name)
+		}
+	}
+	if len(missing) == 0 {
+		return
+	}
+	sort.Strings(missing)
+	pass.Reportf(lit.Pos(), "table over %s has no element for %s (add the rows)",
+		typeName(e.named), strings.Join(missing, ", "))
 }
 
 func sentinelValue(c *types.Const) (int64, bool) {

@@ -1,6 +1,6 @@
 // Package sim is exhaustive golden testdata: module enums with and
-// without sentinels, covered, defaulted and uncovered switches, and
-// enum-indexed arrays.
+// without sentinels, covered, defaulted and uncovered switches,
+// enum-indexed arrays and keyed tables over an enum.
 package sim
 
 // Op is a module enum with a trailing sentinel.
@@ -100,3 +100,17 @@ func index(o Op) string {
 func indexBad(o Op) string {
 	return bad[o] // want `array of length 3 indexed by sim\.Op should be sized by NumOps \(4\)`
 }
+
+// Keyed tables sized by the sentinel need an element per member; Alias
+// covers Add.
+var fullTable = [NumOps]string{Nop: "nop", Alias: "add", Sub: "sub", Halt: "halt"}
+
+var partialTable = [NumOps]string{ // want `table over sim\.Op has no element for Halt, Sub \(add the rows\)`
+	Nop: "nop",
+	Add: "add",
+}
+
+// A hand-sized or positional literal is not a table.
+var shortTable = [2]string{Nop: "nop"}
+
+var positional = [NumOps]string{"nop", "add", "sub"}

@@ -96,26 +96,10 @@ const (
 	numOps // sentinel; keep last
 )
 
-var opNames = [numOps]string{
-	Nop: "nop",
-	Add: "add", Sub: "sub", And: "and", Or: "or", Xor: "xor",
-	Shl: "shl", Shr: "shr", Slt: "slt", Sltu: "sltu", Seq: "seq",
-	Min: "min", Max: "max",
-	AddI: "addi", AndI: "andi", OrI: "ori", XorI: "xori",
-	ShlI: "shli", ShrI: "shri", SltI: "slti",
-	Li: "li", Mov: "mov",
-	Mul: "mul", Div: "div", Rem: "rem",
-	FAdd: "fadd", FSub: "fsub", FMul: "fmul", FDiv: "fdiv",
-	FSlt: "fslt", ItoF: "itof", FtoI: "ftoi",
-	Ld: "ld", St: "st",
-	Beq: "beq", Bne: "bne", Blt: "blt", Bge: "bge",
-	Bltu: "bltu", Bgeu: "bgeu", Jmp: "jmp", Halt: "halt",
-}
-
 // String returns the mnemonic for the opcode.
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if n := o.info().name; n != "" {
+		return n
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -169,74 +153,116 @@ func (in Instr) IsCondBranch() bool { return in.Op >= Beq && in.Op <= Bgeu }
 func (in Instr) IsHalt() bool { return in.Op == Halt }
 
 // WritesDst reports whether the instruction produces a register result.
-func (in Instr) WritesDst() bool {
-	switch {
-	case in.Op == Nop || in.Op == Halt:
-		return false
-	case in.IsStore(), in.IsBranch():
-		return false
-	}
-	return true
-}
-
-// hasSrc1/hasSrc2 describe which register fields are true data sources.
-func (in Instr) hasSrc1() bool {
-	switch in.Op {
-	case Nop, Halt, Li, Jmp:
-		return false
-	default:
-		return true
-	}
-}
-
-func (in Instr) hasSrc2() bool {
-	switch in.Op {
-	case Add, Sub, And, Or, Xor, Shl, Shr, Slt, Sltu, Seq, Min, Max,
-		Mul, Div, Rem, FAdd, FSub, FMul, FDiv, FSlt,
-		Ld, St, Beq, Bne, Blt, Bge, Bltu, Bgeu:
-		return true
-	default:
-		return false
-	}
-}
+func (in Instr) WritesDst() bool { return in.Op.info().writes }
 
 // Sources appends the architectural registers the instruction reads to dst
-// and returns the extended slice. Store-value registers are included.
+// and returns the extended slice, in Src1, Src2, store-value order; at
+// most 3, so a caller's cap-3 scratch never grows.
 func (in Instr) Sources(dst []Reg) []Reg {
-	if in.hasSrc1() {
+	r := in.Op.info().reads
+	if r&readSrc1 != 0 {
 		dst = append(dst, in.Src1)
 	}
-	if in.hasSrc2() {
+	if r&readSrc2 != 0 {
 		dst = append(dst, in.Src2)
 	}
-	if in.IsStore() {
+	if r&readDst != 0 {
 		dst = append(dst, in.Dst)
 	}
 	return dst
 }
 
 // FU returns the functional-unit class for the instruction.
-func (in Instr) FU() FUClass {
-	switch in.Op {
-	case Nop, Halt:
-		return FUNone
-	case Mul:
-		return FUIntMul
-	case Div, Rem:
-		return FUIntDiv
-	case FAdd, FSub, FSlt, ItoF, FtoI:
-		return FUFPAdd
-	case FMul:
-		return FUFPMul
-	case FDiv:
-		return FUFPDiv
-	case Ld, St:
-		return FUMem
-	case Beq, Bne, Blt, Bge, Bltu, Bgeu, Jmp:
-		return FUBranch
-	default:
-		return FUIntALU
+func (in Instr) FU() FUClass { return in.Op.info().fu }
+
+// opInfo is one opcode's row of facts: its mnemonic, the functional-unit
+// class it executes on, the register fields it reads and whether it
+// writes Dst.
+type opInfo struct {
+	name   string
+	fu     FUClass
+	reads  readSet
+	writes bool
+}
+
+// readSet names the register fields an instruction reads as data sources.
+type readSet uint8
+
+const (
+	readSrc1 readSet = 1 << iota
+	readSrc2
+	readDst // a store's value register
+
+	readNone  readSet = 0
+	readRR            = readSrc1 | readSrc2 // register-register ops, loads, conditional branches
+	readStore         = readRR | readDst    // base, index, value
+)
+
+// opTable is the single source of every opcode's facts. vrlint's
+// exhaustive pass requires a row for each opcode.
+var opTable = [numOps]opInfo{
+	Nop: {"nop", FUNone, readNone, false},
+
+	Add:  {"add", FUIntALU, readRR, true},
+	Sub:  {"sub", FUIntALU, readRR, true},
+	And:  {"and", FUIntALU, readRR, true},
+	Or:   {"or", FUIntALU, readRR, true},
+	Xor:  {"xor", FUIntALU, readRR, true},
+	Shl:  {"shl", FUIntALU, readRR, true},
+	Shr:  {"shr", FUIntALU, readRR, true},
+	Slt:  {"slt", FUIntALU, readRR, true},
+	Sltu: {"sltu", FUIntALU, readRR, true},
+	Seq:  {"seq", FUIntALU, readRR, true},
+	Min:  {"min", FUIntALU, readRR, true},
+	Max:  {"max", FUIntALU, readRR, true},
+
+	AddI: {"addi", FUIntALU, readSrc1, true},
+	AndI: {"andi", FUIntALU, readSrc1, true},
+	OrI:  {"ori", FUIntALU, readSrc1, true},
+	XorI: {"xori", FUIntALU, readSrc1, true},
+	ShlI: {"shli", FUIntALU, readSrc1, true},
+	ShrI: {"shri", FUIntALU, readSrc1, true},
+	SltI: {"slti", FUIntALU, readSrc1, true},
+
+	Li:  {"li", FUIntALU, readNone, true},
+	Mov: {"mov", FUIntALU, readSrc1, true},
+
+	Mul: {"mul", FUIntMul, readRR, true},
+	Div: {"div", FUIntDiv, readRR, true},
+	Rem: {"rem", FUIntDiv, readRR, true},
+
+	FAdd: {"fadd", FUFPAdd, readRR, true},
+	FSub: {"fsub", FUFPAdd, readRR, true},
+	FMul: {"fmul", FUFPMul, readRR, true},
+	FDiv: {"fdiv", FUFPDiv, readRR, true},
+	FSlt: {"fslt", FUFPAdd, readRR, true},
+	ItoF: {"itof", FUFPAdd, readSrc1, true},
+	FtoI: {"ftoi", FUFPAdd, readSrc1, true},
+
+	Ld: {"ld", FUMem, readRR, true},
+	St: {"st", FUMem, readStore, false},
+
+	Beq:  {"beq", FUBranch, readRR, false},
+	Bne:  {"bne", FUBranch, readRR, false},
+	Blt:  {"blt", FUBranch, readRR, false},
+	Bge:  {"bge", FUBranch, readRR, false},
+	Bltu: {"bltu", FUBranch, readRR, false},
+	Bgeu: {"bgeu", FUBranch, readRR, false},
+	Jmp:  {"jmp", FUBranch, readNone, false},
+	Halt: {"halt", FUNone, readNone, false},
+}
+
+// unknownOp answers for an Op at or above numOps, which no Builder method
+// emits: an integer ALU op reading Src1 and writing Dst, printed as
+// op(N) — the answers the per-fact switches gave before the table.
+var unknownOp = opInfo{fu: FUIntALU, reads: readSrc1, writes: true}
+
+// info returns the opcode's row of opTable.
+func (o Op) info() *opInfo {
+	if o < numOps {
+		return &opTable[o]
 	}
+	return &unknownOp
 }
 
 // Program is an executable sequence of instructions with optional named

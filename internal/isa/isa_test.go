@@ -121,64 +121,168 @@ func TestEffAddr(t *testing.T) {
 	}
 }
 
-func TestClassification(t *testing.T) {
-	if !(Instr{Op: Ld}).IsLoad() || (Instr{Op: St}).IsLoad() {
-		t.Error("IsLoad misclassifies")
+// opFacts is one opcode's expected facts, written by hand and kept
+// independent of the package's opcode table.
+type opFacts struct {
+	fu FUClass
+	// reads lists the register fields read as sources, in the order
+	// Sources reports them: 1 = Src1, 2 = Src2, d = Dst.
+	reads  string
+	writes bool // writes Dst
+	// class is "ld", "st", "jmp" (unconditional branch), "br"
+	// (conditional branch) or "" for none of these.
+	class string
+}
+
+// wantFacts holds the expectation for every opcode.
+var wantFacts = map[Op]opFacts{
+	Nop: {FUNone, "", false, ""},
+
+	Add:  {FUIntALU, "12", true, ""},
+	Sub:  {FUIntALU, "12", true, ""},
+	And:  {FUIntALU, "12", true, ""},
+	Or:   {FUIntALU, "12", true, ""},
+	Xor:  {FUIntALU, "12", true, ""},
+	Shl:  {FUIntALU, "12", true, ""},
+	Shr:  {FUIntALU, "12", true, ""},
+	Slt:  {FUIntALU, "12", true, ""},
+	Sltu: {FUIntALU, "12", true, ""},
+	Seq:  {FUIntALU, "12", true, ""},
+	Min:  {FUIntALU, "12", true, ""},
+	Max:  {FUIntALU, "12", true, ""},
+
+	AddI: {FUIntALU, "1", true, ""},
+	AndI: {FUIntALU, "1", true, ""},
+	OrI:  {FUIntALU, "1", true, ""},
+	XorI: {FUIntALU, "1", true, ""},
+	ShlI: {FUIntALU, "1", true, ""},
+	ShrI: {FUIntALU, "1", true, ""},
+	SltI: {FUIntALU, "1", true, ""},
+
+	Li:  {FUIntALU, "", true, ""},
+	Mov: {FUIntALU, "1", true, ""},
+
+	Mul: {FUIntMul, "12", true, ""},
+	Div: {FUIntDiv, "12", true, ""},
+	Rem: {FUIntDiv, "12", true, ""},
+
+	FAdd: {FUFPAdd, "12", true, ""},
+	FSub: {FUFPAdd, "12", true, ""},
+	FMul: {FUFPMul, "12", true, ""},
+	FDiv: {FUFPDiv, "12", true, ""},
+	FSlt: {FUFPAdd, "12", true, ""},
+	ItoF: {FUFPAdd, "1", true, ""},
+	FtoI: {FUFPAdd, "1", true, ""},
+
+	Ld: {FUMem, "12", true, "ld"},
+	St: {FUMem, "12d", false, "st"},
+
+	Beq:  {FUBranch, "12", false, "br"},
+	Bne:  {FUBranch, "12", false, "br"},
+	Blt:  {FUBranch, "12", false, "br"},
+	Bge:  {FUBranch, "12", false, "br"},
+	Bltu: {FUBranch, "12", false, "br"},
+	Bgeu: {FUBranch, "12", false, "br"},
+	Jmp:  {FUBranch, "", false, "jmp"},
+	Halt: {FUNone, "", false, ""},
+}
+
+// unknownFacts is what an Op at or above numOps answers: the default arms
+// of the per-fact switches the table replaced.
+var unknownFacts = opFacts{FUIntALU, "1", true, ""}
+
+// factsFor returns the expectation for op, failing the test for an
+// in-range opcode that has none.
+func factsFor(t *testing.T, op Op) opFacts {
+	t.Helper()
+	if len(wantFacts) != int(numOps) {
+		t.Fatalf("expectations cover %d opcodes, ISA has %d: add the new opcodes", len(wantFacts), numOps)
 	}
-	if !(Instr{Op: St}).IsStore() || (Instr{Op: Ld}).IsStore() {
-		t.Error("IsStore misclassifies")
+	if op >= numOps {
+		return unknownFacts
 	}
-	for _, op := range []Op{Beq, Bne, Blt, Bge, Bltu, Bgeu, Jmp} {
-		if !(Instr{Op: op}).IsBranch() {
-			t.Errorf("%s should be a branch", op)
+	f, ok := wantFacts[op]
+	if !ok {
+		t.Fatalf("%v: no expectation", op)
+	}
+	return f
+}
+
+// factOps is every opcode plus three outside the set.
+func factOps() []Op {
+	var ops []Op
+	for op := Op(0); op < numOps; op++ {
+		ops = append(ops, op)
+	}
+	return append(ops, numOps, 200, 255)
+}
+
+// factInstr is an instruction with distinct register fields, so the
+// registers Sources reports name the fields they came from.
+func factInstr(op Op) Instr { return Instr{Op: op, Dst: 13, Src1: 5, Src2: 9} }
+
+// wantSources renders a reads string as the registers of factInstr.
+func wantSources(reads string) []Reg {
+	in := factInstr(Nop)
+	var regs []Reg
+	for _, f := range reads {
+		switch f {
+		case '1':
+			regs = append(regs, in.Src1)
+		case '2':
+			regs = append(regs, in.Src2)
+		case 'd':
+			regs = append(regs, in.Dst)
 		}
 	}
-	if (Instr{Op: Jmp}).IsCondBranch() {
-		t.Error("jmp is not conditional")
-	}
-	if !(Instr{Op: Beq}).IsCondBranch() {
-		t.Error("beq is conditional")
-	}
-	if (Instr{Op: St}).WritesDst() || (Instr{Op: Beq}).WritesDst() || (Instr{Op: Halt}).WritesDst() {
-		t.Error("WritesDst misclassifies non-writers")
-	}
-	if !(Instr{Op: Ld}).WritesDst() || !(Instr{Op: Add}).WritesDst() {
-		t.Error("WritesDst misclassifies writers")
+	return regs
+}
+
+func TestClassification(t *testing.T) {
+	for _, op := range factOps() {
+		want := factsFor(t, op)
+		in := factInstr(op)
+		checks := []struct {
+			name      string
+			got, want bool
+		}{
+			{"IsLoad", in.IsLoad(), want.class == "ld"},
+			{"IsStore", in.IsStore(), want.class == "st"},
+			{"IsMem", in.IsMem(), want.class == "ld" || want.class == "st"},
+			{"IsBranch", in.IsBranch(), want.class == "br" || want.class == "jmp"},
+			{"IsCondBranch", in.IsCondBranch(), want.class == "br"},
+			{"IsHalt", in.IsHalt(), op == Halt},
+			{"WritesDst", in.WritesDst(), want.writes},
+		}
+		for _, c := range checks {
+			if c.got != c.want {
+				t.Errorf("%v: %s = %v, want %v", op, c.name, c.got, c.want)
+			}
+		}
 	}
 }
 
 func TestSources(t *testing.T) {
-	got := (Instr{Op: St, Dst: 3, Src1: 1, Src2: 2}).Sources(nil)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("store sources = %v", got)
-	}
-	got = (Instr{Op: Li, Dst: 3}).Sources(nil)
-	if len(got) != 0 {
-		t.Errorf("li sources = %v", got)
-	}
-	got = (Instr{Op: AddI, Dst: 3, Src1: 7}).Sources(nil)
-	if len(got) != 1 || got[0] != 7 {
-		t.Errorf("addi sources = %v", got)
-	}
-	got = (Instr{Op: Jmp}).Sources(nil)
-	if len(got) != 0 {
-		t.Errorf("jmp sources = %v", got)
+	for _, op := range factOps() {
+		want := wantSources(factsFor(t, op).reads)
+		got := factInstr(op).Sources(nil)
+		if len(got) != len(want) {
+			t.Errorf("%v: Sources = %v, want %v", op, got, want)
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%v: Sources = %v, want %v", op, got, want)
+				break
+			}
+		}
 	}
 }
 
 func TestFUClasses(t *testing.T) {
-	cases := map[Op]FUClass{
-		Nop: FUNone, Halt: FUNone,
-		Add: FUIntALU, Li: FUIntALU, Mov: FUIntALU,
-		Mul: FUIntMul, Div: FUIntDiv, Rem: FUIntDiv,
-		FAdd: FUFPAdd, FSlt: FUFPAdd, ItoF: FUFPAdd,
-		FMul: FUFPMul, FDiv: FUFPDiv,
-		Ld: FUMem, St: FUMem,
-		Beq: FUBranch, Jmp: FUBranch,
-	}
-	for op, want := range cases {
-		if got := (Instr{Op: op}).FU(); got != want {
-			t.Errorf("FU(%s) = %d, want %d", op, got, want)
+	for _, op := range factOps() {
+		if got, want := factInstr(op).FU(), factsFor(t, op).fu; got != want {
+			t.Errorf("FU(%v) = %d, want %d", op, got, want)
 		}
 	}
 }
@@ -372,34 +476,15 @@ func TestBuildRejectsRZeroWrites(t *testing.T) {
 }
 
 // TestSourcesBoundedOverEveryOpcode pins why (Instr).Sources is
-// allocation-free: for every opcode it appends at most 3 registers — exactly the opcode's true data sources — and never grows
-// past a caller-provided capacity of 3, so a caller reusing a
-// cap-3 scratch slice allocates nothing.
+// allocation-free: for every opcode it appends at most 3 registers and
+// never grows past a caller-provided capacity of 3, so a caller reusing a
+// cap-3 scratch slice allocates nothing. TestSources checks which
+// registers it appends.
 func TestSourcesBoundedOverEveryOpcode(t *testing.T) {
-	// Expected source count per opcode class; every opcode must appear.
-	wantCount := map[Op]int{
-		Nop: 0, Li: 0, Jmp: 0, Halt: 0,
-		AddI: 1, AndI: 1, OrI: 1, XorI: 1, ShlI: 1, ShrI: 1, SltI: 1,
-		Mov: 1, ItoF: 1, FtoI: 1,
-		Add: 2, Sub: 2, And: 2, Or: 2, Xor: 2, Shl: 2, Shr: 2,
-		Slt: 2, Sltu: 2, Seq: 2, Min: 2, Max: 2,
-		Mul: 2, Div: 2, Rem: 2,
-		FAdd: 2, FSub: 2, FMul: 2, FDiv: 2, FSlt: 2,
-		Ld: 2, Beq: 2, Bne: 2, Blt: 2, Bge: 2, Bltu: 2, Bgeu: 2,
-		St: 3,
-	}
-	if len(wantCount) != int(numOps) {
-		t.Fatalf("expectation table covers %d opcodes, ISA has %d — update the test for new opcodes", len(wantCount), numOps)
-	}
-	for op := Op(0); op < numOps; op++ {
-		want, ok := wantCount[op]
-		if !ok {
-			t.Errorf("%v: no expected source count", op)
-			continue
-		}
-		in := Instr{Op: op, Dst: 13, Src1: 5, Src2: 9}
+	for _, op := range factOps() {
+		want := len(factsFor(t, op).reads)
 		buf := make([]Reg, 0, 3)
-		out := in.Sources(buf)
+		out := factInstr(op).Sources(buf)
 		if len(out) != want {
 			t.Errorf("%v: Sources appended %d regs (%v), want %d", op, len(out), out, want)
 		}
@@ -412,23 +497,6 @@ func TestSourcesBoundedOverEveryOpcode(t *testing.T) {
 		}
 		if len(out) > 0 && &out[0] != &buf[:1][0] {
 			t.Errorf("%v: Sources reallocated the caller's backing array", op)
-		}
-		// The regs appended are drawn from the instruction's fields in
-		// src1, src2, store-value order.
-		wantRegs := []Reg{}
-		if in.hasSrc1() {
-			wantRegs = append(wantRegs, in.Src1)
-		}
-		if in.hasSrc2() {
-			wantRegs = append(wantRegs, in.Src2)
-		}
-		if in.IsStore() {
-			wantRegs = append(wantRegs, in.Dst)
-		}
-		for i, r := range out {
-			if r != wantRegs[i] {
-				t.Errorf("%v: Sources[%d] = r%d, want r%d", op, i, r, wantRegs[i])
-			}
 		}
 	}
 }
