@@ -365,8 +365,7 @@ func TestIsolatedCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := DefaultRunConfig(TechOoO)
-	rc.MaxBudget = 50_000_000 // far more work than the cancel allows
+	rc := livelockConfig() // only the cancel can end it
 	pool := newTestPool(t, PoolConfig{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -390,8 +389,7 @@ func TestIsolatedCellTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := DefaultRunConfig(TechOoO)
-	rc.MaxBudget = 50_000_000
+	rc := livelockConfig() // only the deadline can end it
 	pool := newTestPool(t, PoolConfig{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()

@@ -45,16 +45,27 @@ func TestCellTimeoutExpiredContext(t *testing.T) {
 	}
 }
 
+// livelockConfig is a cell that, in practice, only a deadline or a
+// cancellation can end: its first demand miss hangs for 2^40 cycles, and
+// neither the watchdog nor the cycle limit is armed. With a context to
+// check, the core fast-forwards across the hung load one check interval
+// at a time, which takes seconds; the default 2e9-cycle limit would end
+// the cell within milliseconds, before a deadline could.
+func livelockConfig() RunConfig {
+	rc := DefaultRunConfig(TechOoO)
+	rc.Faults = mem.FaultConfig{Seed: 1, HangAfter: 1}
+	rc.CPU.WatchdogCycles = 0
+	rc.CPU.MaxCycles = 0
+	return rc
+}
+
 // TestCellTimeoutCatchesLivelock: a hang-fault cell with the watchdog
-// effectively disabled — the slow-livelock case per-run supervision cannot
-// see — must still be evicted by the wall-clock deadline.
+// disabled — the slow-livelock case per-run supervision cannot see — must
+// still be evicted by the wall-clock deadline.
 func TestCellTimeoutCatchesLivelock(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	rc := DefaultRunConfig(TechOoO)
-	rc.MaxBudget = 10_000_000
-	rc.WatchdogCycles = 1 << 62 // never trips: the deadline must do the work
-	rc.Faults = mem.FaultConfig{Seed: 1, HangAfter: 1}
+	rc := livelockConfig() // the deadline must do the work
 	start := time.Now()
 	_, err := RunSupervisedContext(ctx, workloads.MicroStream(4096), rc)
 	if !errors.Is(err, ErrCellTimeout) {
