@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos smoke test for campaign resilience: run a seeded-fault parallel
-# campaign under the race detector, interrupt it at roughly half its
-# journal, resume it, and require the resumed output to be byte-identical
+# campaign under the race detector, interrupt it while a cell has not yet
+# started, resume it, and require the resumed output to be byte-identical
 # to an uninterrupted run's. Also spot-checks the documented exit codes
 # (0/1 run outcome, 2 configuration error, 130 interrupted).
 #
@@ -45,19 +45,26 @@ case "$golden_status" in
 *) fail "golden run exited $golden_status (stderr: $(cat "$dir/golden.err"))" ;;
 esac
 
-echo "chaos: journaled run, SIGINT at ~50% of the journal"
+echo "chaos: journaled run, one cell at a time, SIGINT after the first record"
+# -parallel is not part of the journal fingerprint, so this run executes
+# the cells one at a time, in declaration order, and the resume below goes
+# back to -parallel 4. A cell's record is appended before the next cell
+# starts, so with r records on disk at most r+1 cells have started. The
+# run is frozen (SIGSTOP) while the records are counted and the SIGINT is
+# queued; the interrupt lands on SIGCONT. With r below 5 at least one of
+# the 6 cells has certainly not started, and the run must cancel it.
 set +e
-"$dir/vrbench" "${flags[@]}" -checkpoint "$journal" \
+"$dir/vrbench" "${flags[@]}" -parallel 1 -checkpoint "$journal" \
 	>"$dir/interrupted.txt" 2>"$dir/interrupted.err" &
 pid=$!
-# 6 cells -> interrupt once 3 records (journal line 4, after the header)
-# have been fsynced. The race-built binary is slow enough that this
-# normally lands mid-campaign; if the run wins the race and finishes
-# first, the resume path below still proves full-journal replay.
+records=0
 for _ in $(seq 1 1200); do
 	kill -0 "$pid" 2>/dev/null || break
-	if [ -f "$journal" ] && [ "$(wc -l <"$journal")" -ge 4 ]; then
+	if [ -f "$journal" ] && [ "$(wc -l <"$journal")" -ge 2 ]; then
+		kill -STOP "$pid"
+		records=$(($(wc -l <"$journal") - 1))
 		kill -INT "$pid"
+		kill -CONT "$pid"
 		break
 	fi
 	sleep 0.05
@@ -65,14 +72,12 @@ done
 wait "$pid"
 int_status=$?
 set -e
-if [ "$int_status" -eq 130 ]; then
-	grep -q "CANCELLED" "$dir/interrupted.txt" ||
-		fail "interrupted run exited 130 without a CANCELLED partial-table summary"
-elif [ "$int_status" -eq "$golden_status" ]; then
-	echo "chaos: note: campaign finished before the interrupt landed; resuming a complete journal instead"
-else
-	fail "interrupted run exited $int_status (want 130, or $golden_status if it finished first)"
-fi
+[ "$records" -ge 1 ] && [ "$records" -lt 5 ] ||
+	fail "interrupt sent after $records of 6 records: no cell was certain not to have started"
+[ "$int_status" -eq 130 ] ||
+	fail "interrupted run exited $int_status, want 130 (stderr: $(cat "$dir/interrupted.err"))"
+grep -q "CANCELLED" "$dir/interrupted.txt" ||
+	fail "interrupted run exited 130 without a CANCELLED partial-table summary"
 
 echo "chaos: resumed run"
 set +e
