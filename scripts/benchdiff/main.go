@@ -16,7 +16,7 @@
 // slowdown of the recorded median fails) and exists to catch order-of-
 // magnitude pathologies, not jitter:
 //
-//	go run ./scripts/benchdiff -old BENCH_PR17.json -new BENCH_NOW.json -threshold 25 -nsthreshold 100
+//	go run ./scripts/benchdiff -old BENCH_PR18.json -new BENCH_NOW.json -threshold 25 -nsthreshold 100
 //
 // Only the standard library is used.
 package main
