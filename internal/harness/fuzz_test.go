@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"vrsim/internal/core"
@@ -129,47 +131,189 @@ func runEngineFuzz(t *testing.T, p *isa.Program, init map[uint64]uint64, watch [
 	}
 }
 
-// FuzzConfigValidate drives arbitrary run configurations through the
-// supervised entry point. The property: no input — valid or not — may
-// escape as a panic. Invalid configurations must be rejected by Validate
-// as typed setup errors; validated ones must run (or fail) cleanly.
-func FuzzConfigValidate(f *testing.F) {
-	f.Add(5, 350, 128, 128, 72, 15, 32, 24, 32<<10, 8, 64, 8)
-	f.Add(1, 1, 1, 1, 1, 1, 1, 1, 64, 1, 1, 1)
-	f.Add(0, -3, 12, 0, 99, 2, 4, 0, 3*64, 3, 0, -5)
-	f.Add(65, 1<<21, -1, 7, 7, 2000, 9, 1<<17, 1<<20, 1<<11, 1<<13, 2)
-	f.Fuzz(func(t *testing.T, width, rob, iq, lq, sq, depth, fbuf, mshrs, l1size, l1ways, vl, lanes int) {
-		rc := DefaultRunConfig(TechVR)
-		rc.CPU.Width = width
-		rc.CPU.ROBSize = rob
-		rc.CPU.IQSize = iq
-		rc.CPU.LQSize = lq
-		rc.CPU.SQSize = sq
-		rc.CPU.FrontendDepth = depth
-		rc.CPU.FetchBufSize = fbuf
-		rc.Mem.MSHRs = mshrs
-		// Bound the geometry so a *valid* fuzzed cache stays small; the
-		// validator still sees the full range of invalid shapes.
-		rc.Mem.L1SizeBytes = l1size % (1 << 22)
-		rc.Mem.L1Ways = l1ways % (1 << 11)
-		rc.VR.VectorLength = vl
-		rc.VR.LaneWidth = lanes
-		// Keep even degenerate-but-valid machines cheap and hang-free: a
-		// 64-byte single-way L1 passes validation but runs at huge CPI, so
-		// the cycle caps must keep each execution well under a second.
-		rc.MaxBudget = 500
-		rc.WatchdogCycles = 20_000
-		rc.CPU.MaxCycles = 300_000
+// fuzzKernel is FuzzConfigValidate's workload. At the fuzzer's budget it
+// starts every engine (TestFuzzKernelStartsEveryEngine), so the engines'
+// fields are fuzzed against code that runs.
+var fuzzKernel = workloads.Kangaroo(12, 1500)
 
-		_, err := RunSupervised(workloads.MicroStream(256), rc)
-		if err == nil {
-			return
+// fuzzTechs are the techniques FuzzConfigValidate's first argument picks
+// from, modulo their count.
+var fuzzTechs = append(AllTechniques(), TechRA)
+
+// fuzzRunConfig returns the default configuration under tech with the
+// fuzzer's budget and cycle caps. Degenerate-but-valid machines (a 64-byte
+// single-way L1, a one-entry ROB) run at huge CPI, so the caps keep each
+// execution well under a second.
+func fuzzRunConfig(tech Technique) RunConfig {
+	rc := DefaultRunConfig(tech)
+	rc.MaxBudget = 500
+	rc.WatchdogCycles = 20_000
+	rc.CPU.MaxCycles = 300_000
+	return rc
+}
+
+// fuzzFields returns a pointer to every integer field of rc that a
+// Validate bounds, plus the predictor's kind and geometry, in
+// FuzzConfigValidate's argument order after the technique.
+func fuzzFields(rc *RunConfig) []any {
+	c, m := &rc.CPU, &rc.Mem
+	fs := []any{&c.Width, &c.ROBSize, &c.IQSize, &c.LQSize, &c.SQSize, &c.FrontendDepth, &c.FetchBufSize}
+	for fu := isa.FUNone + 1; fu < isa.NumFUClasses; fu++ {
+		fs = append(fs, &c.FUCount[fu], &c.FULatency[fu])
+	}
+	return append(fs, &c.CheckInterval, &c.Predictor.Kind, &c.Predictor.LogSize, &c.Predictor.HistoryBits,
+		&m.L1SizeBytes, &m.L1Ways, &m.L1Latency,
+		&m.L2SizeBytes, &m.L2Ways, &m.L2Latency,
+		&m.L3SizeBytes, &m.L3Ways, &m.L3Latency, &m.MSHRs,
+		&rc.VR.VectorLength, &rc.VR.LaneWidth, &rc.VR.StrideEntries,
+		&rc.VR.MaxChainInstrs, &rc.VR.MaxInstrsPerActivation,
+		&rc.PRE.MaxInstrsPerActivation, &rc.RA.MaxInstrsPerActivation)
+}
+
+// configFuzzTarget is FuzzConfigValidate's target type: the technique
+// index, then one parameter per fuzzFields entry, in its order and of its
+// type. The corpus files under testdata/fuzz/FuzzConfigValidate follow it.
+type configFuzzTarget = func(t *testing.T, tech uint8,
+	width, rob, iq, lq, sq, frontendDepth, fetchBuf int,
+	intALUs int, intALULat uint64, intMuls int, intMulLat uint64, intDivs int, intDivLat uint64,
+	fpAdds int, fpAddLat uint64, fpMuls int, fpMulLat uint64, fpDivs int, fpDivLat uint64,
+	memPorts int, memLat uint64, branchUnits int, branchLat uint64,
+	checkInterval uint64, predictor string, predictorLog int, historyBits uint,
+	l1Size, l1Ways int, l1Lat uint64, l2Size, l2Ways int, l2Lat uint64,
+	l3Size, l3Ways int, l3Lat uint64, mshrs int,
+	vectorLength, laneWidth, strideEntries int, maxChainInstrs, vrMaxInstrs uint64,
+	preMaxInstrs, raMaxInstrs uint64)
+
+// addConfigSeed adds rc to f's seed corpus as configFuzzTarget arguments.
+func addConfigSeed(f *testing.F, rc RunConfig) {
+	args := []any{uint8(slices.Index(fuzzTechs, rc.Tech))}
+	for _, p := range fuzzFields(&rc) {
+		args = append(args, reflect.ValueOf(p).Elem().Interface())
+	}
+	f.Add(args...)
+}
+
+// seedEdges adds one seed per value: the default configuration under
+// tech with the field at returns set to that value.
+func seedEdges[T any](f *testing.F, tech Technique, at func(*RunConfig) *T, vals ...T) {
+	for _, v := range vals {
+		rc := fuzzRunConfig(tech)
+		*at(&rc) = v
+		addConfigSeed(f, rc)
+	}
+}
+
+// buildable reports whether a configuration Validate admits is small
+// enough to build at every exec. Validate admits a 1M-entry ROB (282 MiB)
+// and 1 GiB caches; such machines are validated but not run.
+func buildable(rc *RunConfig) bool {
+	c, m := &rc.CPU, &rc.Mem
+	return max(c.ROBSize, c.FetchBufSize, rc.VR.StrideEntries) <= 1<<14 &&
+		max(m.L1SizeBytes, m.L2SizeBytes, m.L3SizeBytes) <= 64<<20 &&
+		c.Predictor.LogSize <= 20
+}
+
+// FuzzConfigValidate drives arbitrary run configurations through the
+// supervised entry point under all six techniques. The property: no input
+// — valid or not — may escape as a panic. Invalid configurations must be
+// rejected by Validate as typed setup errors; validated ones must run (or
+// fail) cleanly. This is the guard for every size and divisor the
+// simulator derives from a validated configuration.
+func FuzzConfigValidate(f *testing.F) {
+	for _, tech := range fuzzTechs {
+		addConfigSeed(f, fuzzRunConfig(tech))
+	}
+	// Each bound a Validate enforces, seeded just outside and just inside,
+	// under the technique whose code reads the field.
+	vr := TechVR
+	ints := func(at func(*RunConfig) *int, lo, hi int) { seedEdges(f, vr, at, lo-1, lo, hi, hi+1) }
+	ints(func(rc *RunConfig) *int { return &rc.CPU.Width }, 1, 64)
+	ints(func(rc *RunConfig) *int { return &rc.CPU.ROBSize }, 1, 1<<20)
+	ints(func(rc *RunConfig) *int { return &rc.CPU.IQSize }, 1, 1<<20)
+	ints(func(rc *RunConfig) *int { return &rc.CPU.LQSize }, 1, 1<<20)
+	ints(func(rc *RunConfig) *int { return &rc.CPU.SQSize }, 1, 1<<20)
+	ints(func(rc *RunConfig) *int { return &rc.CPU.FrontendDepth }, 1, 1<<10)
+	ints(func(rc *RunConfig) *int { return &rc.CPU.FetchBufSize }, 1, 1<<20)
+	for fu := isa.FUNone + 1; fu < isa.NumFUClasses; fu++ {
+		ints(func(rc *RunConfig) *int { return &rc.CPU.FUCount[fu] }, 1, 1<<10)
+		seedEdges(f, vr, func(rc *RunConfig) *uint64 { return &rc.CPU.FULatency[fu] }, 0, 1)
+	}
+	seedEdges(f, vr, func(rc *RunConfig) *uint64 { return &rc.CPU.CheckInterval }, 0, 1, 1<<30, 1<<30+1)
+	seedEdges(f, vr, func(rc *RunConfig) *string { return &rc.CPU.Predictor.Kind }, "", "bimodal", "gshare")
+	// clampLog's lower edge; its upper edge (24) is too large to build.
+	seedEdges(f, vr, func(rc *RunConfig) *int { return &rc.CPU.Predictor.LogSize }, -1, 0)
+	levels := []func(m *mem.Config) (size, ways *int, latency *uint64){
+		func(m *mem.Config) (*int, *int, *uint64) { return &m.L1SizeBytes, &m.L1Ways, &m.L1Latency },
+		func(m *mem.Config) (*int, *int, *uint64) { return &m.L2SizeBytes, &m.L2Ways, &m.L2Latency },
+		func(m *mem.Config) (*int, *int, *uint64) { return &m.L3SizeBytes, &m.L3Ways, &m.L3Latency },
+	}
+	for _, level := range levels {
+		// {size, ways}: a size of 0 and of one line, 1 GiB and 2 GiB, then
+		// 0, 1, 1024 and 1025 ways over a 64 KiB level.
+		for _, g := range [][2]int{{0, 1}, {64, 1}, {1 << 30, 1}, {2 << 30, 1},
+			{64 << 10, 0}, {64 << 10, 1}, {64 << 10, 1 << 10}, {64 << 10, 1<<10 + 1}} {
+			rc := fuzzRunConfig(vr)
+			size, ways, _ := level(&rc.Mem)
+			*size, *ways = g[0], g[1]
+			addConfigSeed(f, rc)
 		}
+		seedEdges(f, vr, func(rc *RunConfig) *uint64 { _, _, lat := level(&rc.Mem); return lat }, 0, 1)
+	}
+	ints(func(rc *RunConfig) *int { return &rc.Mem.MSHRs }, 1, 1<<16)
+	ints(func(rc *RunConfig) *int { return &rc.VR.VectorLength }, 1, 1<<12)
+	ints(func(rc *RunConfig) *int { return &rc.VR.LaneWidth }, 1, 1<<12)
+	ints(func(rc *RunConfig) *int { return &rc.VR.StrideEntries }, 1, 1<<20)
+	seedEdges(f, vr, func(rc *RunConfig) *uint64 { return &rc.VR.MaxChainInstrs }, 0, 1)
+	seedEdges(f, vr, func(rc *RunConfig) *uint64 { return &rc.VR.MaxInstrsPerActivation }, 0, 1)
+	seedEdges(f, TechPRE, func(rc *RunConfig) *uint64 { return &rc.PRE.MaxInstrsPerActivation }, 0, 1)
+	seedEdges(f, TechRA, func(rc *RunConfig) *uint64 { return &rc.RA.MaxInstrsPerActivation }, 0, 1)
+
+	// The target stores its arguments through fuzzFields, so the seeds,
+	// the corpus files and the fuzzed configuration follow one list.
+	target := reflect.MakeFunc(reflect.TypeFor[configFuzzTarget](), func(args []reflect.Value) []reflect.Value {
+		t := args[0].Interface().(*testing.T)
+		rc := fuzzRunConfig(fuzzTechs[int(args[1].Interface().(uint8))%len(fuzzTechs)])
+		for i, p := range fuzzFields(&rc) {
+			reflect.ValueOf(p).Elem().Set(args[i+2])
+		}
+		if rc.Validate() == nil && !buildable(&rc) {
+			return nil
+		}
+		_, err := RunSupervised(fuzzKernel, rc)
 		var re *RunError
 		if errors.As(err, &re) && re.Stack != nil {
 			t.Fatalf("config escaped validation and panicked: %v", err)
 		}
+		return nil
 	})
+	f.Fuzz(target.Interface().(configFuzzTarget))
+}
+
+// TestFuzzKernelStartsEveryEngine pins FuzzConfigValidate's kernel: at the
+// fuzzer's budget and the default configuration, VR must issue gathers,
+// PRE and RA must activate and IMP must prefetch. A kernel that starts no
+// engine would leave the engines' fields fuzzed against dead code.
+func TestFuzzKernelStartsEveryEngine(t *testing.T) {
+	run := func(tech Technique) Result {
+		t.Helper()
+		res, err := Run(fuzzKernel, fuzzRunConfig(tech))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if n := run(TechVR).VRStats.GatherLoads; n == 0 {
+		t.Error("VR issued no gather loads")
+	}
+	if n := run(TechPRE).PREStats.Activations; n == 0 {
+		t.Error("PRE never activated")
+	}
+	if n := run(TechRA).RAStats.Activations; n == 0 {
+		t.Error("classic runahead never activated")
+	}
+	if n := run(TechIMP).PrefetchIssued[mem.SrcIMP]; n == 0 {
+		t.Error("IMP issued no prefetches")
+	}
 }
 
 // FuzzJournalDecode drives arbitrary byte images through the campaign
