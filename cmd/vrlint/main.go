@@ -1,8 +1,8 @@
 // Command vrlint is the simulator-invariant multichecker: it runs the
-// nine vrsim-specific static-analysis passes — six per-package (simdet,
-// panicfree, cyclesafe, cfgflow, exhaustive, boundcheck) and three
-// module-scope (statsflow, lockcheck, observe) — over the repository and
-// fails when any invariant is violated. See DESIGN.md "Static invariants"
+// eight vrsim-specific static-analysis passes — five per-package (simdet,
+// panicfree, cyclesafe, cfgflow, exhaustive) and three module-scope
+// (statsflow, lockcheck, observe) — over the repository and fails when
+// any invariant is violated. See DESIGN.md "Static invariants"
 // for what each pass encodes and the `//vrlint:allow` suppression syntax.
 //
 // Standalone usage (what `make lint` runs):
@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"vrsim/internal/analysis"
-	"vrsim/internal/analysis/boundcheck"
 	"vrsim/internal/analysis/cfgflow"
 	"vrsim/internal/analysis/cyclesafe"
 	"vrsim/internal/analysis/exhaustive"
@@ -48,7 +47,7 @@ import (
 // results; bump it when a pass changes behaviour. The numeric part is
 // also echoed in `-json` output so downstream tooling can detect schema
 // drift.
-const version = "vrlint version 5.0.0"
+const version = "vrlint version 6.0.0"
 
 // analyzers is the multichecker's per-package pass set.
 var analyzers = []*analysis.Analyzer{
@@ -57,7 +56,6 @@ var analyzers = []*analysis.Analyzer{
 	cyclesafe.Analyzer,
 	cfgflow.Analyzer,
 	exhaustive.Analyzer,
-	boundcheck.Analyzer,
 }
 
 // moduleAnalyzers is the whole-module pass set (standalone mode only).

@@ -183,14 +183,14 @@ var bare int
 // testdata relies on: a //vrlint:allow line in a testdata source file
 // suppresses the matching finding, so golden files can hold both flagged
 // (`// want ...`) and allowed cases side by side. The per-pass golden
-// tests (boundcheck, exhaustive, statsflow) exercise this end to end;
+// tests (cyclesafe, exhaustive, statsflow) exercise this end to end;
 // this test pins the mechanism in isolation.
 func TestAllowInsideGoldens(t *testing.T) {
 	src := `package golden
 
-func suppressed(a, b int) int {
-	//vrlint:allow boundcheck -- testdata: caller guarantees b nonzero
-	return a / b
+func suppressed(now, start uint64) uint64 {
+	//vrlint:allow cyclesafe -- testdata: caller guarantees now >= start
+	return now - start
 }
 `
 	fset := token.NewFileSet()
@@ -199,11 +199,11 @@ func suppressed(a, b int) int {
 		t.Fatalf("parse: %v", err)
 	}
 	sup := newSuppressions(fset, []*ast.File{file})
-	divLine := fset.File(file.Pos()).LineStart(5)
-	if !sup.covers("boundcheck", divLine) {
+	subLine := fset.File(file.Pos()).LineStart(5)
+	if !sup.covers("cyclesafe", subLine) {
 		t.Error("allow annotation inside a golden file does not cover the next line")
 	}
-	if sup.covers("exhaustive", divLine) {
+	if sup.covers("exhaustive", subLine) {
 		t.Error("allow annotation suppresses a pass it does not name")
 	}
 }
