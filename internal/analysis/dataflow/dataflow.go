@@ -5,13 +5,12 @@
 //
 // The engine is deliberately "SSA-lite": it does not rename values or
 // build phi nodes. Facts are keyed on types.Var objects (and, in client
-// domains, on field paths), joins happen at block boundaries, and branch
-// edges carry their controlling condition so domains can refine facts by
-// path (e.g. an interval domain learning x >= 1 on the false edge of
-// `if x < 1 { return err }`). That is exactly enough power for the
-// dataflow passes vrlint v2 ships — statsflow's aggregation tracing and
-// boundcheck's interval propagation — while staying dependency-free like
-// the rest of internal/analysis (no golang.org/x/tools).
+// domains, on field paths), joins happen at block boundaries, and edges
+// carry no condition: both sides of a branch see the same fact. That is
+// exactly enough power for the dataflow passes vrlint ships — statsflow's
+// aggregation tracing and lockcheck's held-lock sets — while staying
+// dependency-free like the rest of internal/analysis (no
+// golang.org/x/tools).
 //
 // The lattice/transfer contract the solver assumes is documented in
 // DESIGN.md §7 ("Static invariants").
@@ -23,8 +22,7 @@ import (
 )
 
 // A CFG is the control-flow graph of one function body. Blocks hold
-// straight-line statement (and expression) nodes in execution order;
-// edges carry the branch condition that guards them, when any.
+// straight-line statement (and expression) nodes in execution order.
 type CFG struct {
 	// Fn is the *ast.FuncDecl or *ast.FuncLit the graph was built from.
 	Fn ast.Node
@@ -38,21 +36,13 @@ type CFG struct {
 	Unsupported bool
 }
 
-// A Block is a straight-line sequence of nodes with guarded successors.
+// A Block is a straight-line sequence of nodes with its successors.
 type Block struct {
 	Index int
 	// Nodes are simple statements (assignments, declarations, calls,
 	// returns) plus a few expression nodes (switch tags) in order.
 	Nodes []ast.Node
-	Succs []Edge
-}
-
-// An Edge is one control transfer. When Cond is non-nil the edge is taken
-// exactly when Cond evaluates to Truth, letting domains refine facts.
-type Edge struct {
-	To    *Block
-	Cond  ast.Expr
-	Truth bool
+	Succs []*Block
 }
 
 // Build constructs the CFG of a function body. fn is the enclosing
@@ -91,11 +81,7 @@ func (b *builder) newBlock() *Block {
 }
 
 func (b *builder) jump(from, to *Block) {
-	from.Succs = append(from.Succs, Edge{To: to})
-}
-
-func (b *builder) branch(from *Block, cond ast.Expr, truth bool, to *Block) {
-	from.Succs = append(from.Succs, Edge{To: to, Cond: cond, Truth: truth})
+	from.Succs = append(from.Succs, to)
 }
 
 // add appends a simple node to the current block, materializing an
@@ -149,7 +135,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		head := b.cur
 		then := b.newBlock()
 		after := b.newBlock()
-		b.branch(head, s.Cond, true, then)
+		b.jump(head, then)
 		b.cur = then
 		b.stmt(s.Body)
 		if b.cur != nil {
@@ -157,14 +143,14 @@ func (b *builder) stmt(s ast.Stmt) {
 		}
 		if s.Else != nil {
 			elseB := b.newBlock()
-			b.branch(head, s.Cond, false, elseB)
+			b.jump(head, elseB)
 			b.cur = elseB
 			b.stmt(s.Else)
 			if b.cur != nil {
 				b.jump(b.cur, after)
 			}
 		} else {
-			b.branch(head, s.Cond, false, after)
+			b.jump(head, after)
 		}
 		b.cur = after
 
@@ -180,11 +166,9 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.jump(b.cur, head)
 		body := b.newBlock()
 		after := b.newBlock()
+		b.jump(head, body)
 		if s.Cond != nil {
-			b.branch(head, s.Cond, true, body)
-			b.branch(head, s.Cond, false, after)
-		} else {
-			b.jump(head, body)
+			b.jump(head, after)
 		}
 		backTo := head
 		if s.Post != nil {
@@ -404,8 +388,7 @@ func lastFallthrough(body []ast.Stmt) bool {
 }
 
 // isTerminatingCall recognizes calls that never return: panic and
-// os.Exit/log.Fatal* — enough for the guard patterns the passes refine on
-// (`if bad { panic(...) }`).
+// os.Exit/log.Fatal*, so that no fact flows past them.
 func isTerminatingCall(e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

@@ -86,8 +86,8 @@ func g(n int) int {
 			return
 		}
 		seen[b] = true
-		for _, e := range b.Succs {
-			walk(e.To)
+		for _, to := range b.Succs {
+			walk(to)
 		}
 	}
 	walk(g.Entry)
@@ -200,12 +200,10 @@ func g(xs []int) int {
 // solver over a diamond CFG.
 type countDomain struct{}
 
-func (countDomain) Entry() Fact                                 { return 0 }
-func (countDomain) Transfer(n ast.Node, in Fact) Fact           { return in.(int) + 1 }
-func (countDomain) Refine(c ast.Expr, truth bool, in Fact) Fact { return in }
-func (countDomain) Join(a, b Fact) Fact                         { return maxInt(a.(int), b.(int)) }
-func (countDomain) Widen(old, new Fact) Fact                    { return maxInt(old.(int), new.(int)) }
-func (countDomain) Equal(a, b Fact) bool                        { return a.(int) == b.(int) }
+func (countDomain) Entry() Fact                       { return 0 }
+func (countDomain) Transfer(n ast.Node, in Fact) Fact { return in.(int) + 1 }
+func (countDomain) Join(a, b Fact) Fact               { return maxInt(a.(int), b.(int)) }
+func (countDomain) Equal(a, b Fact) bool              { return a.(int) == b.(int) }
 
 func maxInt(a, b int) int {
 	if a > b {

@@ -77,8 +77,6 @@ func (d *defsDomain) Transfer(n ast.Node, in Fact) Fact {
 	return f
 }
 
-func (d *defsDomain) Refine(cond ast.Expr, truth bool, in Fact) Fact { return in }
-
 func (d *defsDomain) Join(a, b Fact) Fact {
 	fa, fb := a.(defsFact), b.(defsFact)
 	out := fa.clone()
@@ -92,8 +90,6 @@ func (d *defsDomain) Join(a, b Fact) Fact {
 	}
 	return out
 }
-
-func (d *defsDomain) Widen(old, new Fact) Fact { return d.Join(old, new) }
 
 func (d *defsDomain) Equal(a, b Fact) bool {
 	fa, fb := a.(defsFact), b.(defsFact)

@@ -7,33 +7,24 @@ import "go/ast"
 type Fact any
 
 // A Domain supplies the lattice and transfer functions for one analysis.
-// The solver calls Transfer for every node in a block in order, Refine on
-// guarded edges, and Join/Widen/Equal to reach a fixpoint.
+// The solver calls Transfer for every node in a block in order, and Join
+// and Equal to reach a fixpoint. The lattice must have finite height, so
+// that repeated joins into a block stop changing it; the solver does not
+// widen.
 //
-// Facts must be treated as immutable by the solver's clients: Transfer,
-// Refine, Join and Widen return fresh (or shared, unmodified) values and
-// never mutate their inputs in place.
+// Facts must be treated as immutable by the solver's clients: Transfer and
+// Join return fresh (or shared, unmodified) values and never mutate their
+// inputs in place.
 type Domain interface {
 	// Entry returns the fact holding at function entry.
 	Entry() Fact
 	// Transfer applies one straight-line node to the incoming fact.
 	Transfer(n ast.Node, in Fact) Fact
-	// Refine restricts the fact along a branch edge on which cond is
-	// known to evaluate to truth.
-	Refine(cond ast.Expr, truth bool, in Fact) Fact
 	// Join merges facts at a control-flow merge point.
 	Join(a, b Fact) Fact
-	// Widen accelerates convergence on loop back-edges after the solver
-	// has seen a block more than widenAfter times. Domains with finite
-	// lattices may simply return Join(old, new).
-	Widen(old, new Fact) Fact
 	// Equal reports whether two facts are equivalent (fixpoint test).
 	Equal(a, b Fact) bool
 }
-
-// widenAfter is the number of joins into a block before the solver
-// switches from Join to Widen for that block.
-const widenAfter = 8
 
 // maxSteps bounds total solver work per function; a function complex
 // enough to exceed it gets a nil Solution (clients skip it) rather than a
@@ -56,7 +47,6 @@ func Solve(g *CFG, d Domain) *Solution {
 		return nil
 	}
 	in := map[*Block]Fact{g.Entry: d.Entry()}
-	joins := map[*Block]int{}
 
 	work := []*Block{g.Entry}
 	queued := map[*Block]bool{g.Entry: true}
@@ -73,30 +63,18 @@ func Solve(g *CFG, d Domain) *Solution {
 		for _, n := range b.Nodes {
 			fact = d.Transfer(n, fact)
 		}
-		for _, e := range b.Succs {
-			f := fact
-			if e.Cond != nil {
-				f = d.Refine(e.Cond, e.Truth, fact)
-			}
-			old, seen := in[e.To]
-			var next Fact
-			if !seen {
-				next = f
-			} else {
-				joins[e.To]++
-				if joins[e.To] > widenAfter {
-					next = d.Widen(old, f)
-				} else {
-					next = d.Join(old, f)
-				}
+		for _, to := range b.Succs {
+			next := fact
+			if old, seen := in[to]; seen {
+				next = d.Join(old, fact)
 				if d.Equal(old, next) {
 					continue
 				}
 			}
-			in[e.To] = next
-			if !queued[e.To] {
-				queued[e.To] = true
-				work = append(work, e.To)
+			in[to] = next
+			if !queued[to] {
+				queued[to] = true
+				work = append(work, to)
 			}
 		}
 	}

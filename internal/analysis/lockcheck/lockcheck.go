@@ -210,8 +210,6 @@ func (d domain) Transfer(n ast.Node, in dataflow.Fact) dataflow.Fact {
 	return out
 }
 
-func (d domain) Refine(cond ast.Expr, truth bool, in dataflow.Fact) dataflow.Fact { return in }
-
 func (d domain) Join(a, b dataflow.Fact) dataflow.Fact {
 	fa, fb := a.(lockFact), b.(lockFact)
 	out := lockFact{}
@@ -229,8 +227,6 @@ func (d domain) Join(a, b dataflow.Fact) dataflow.Fact {
 	}
 	return out
 }
-
-func (d domain) Widen(old, new dataflow.Fact) dataflow.Fact { return d.Join(old, new) }
 
 func (d domain) Equal(a, b dataflow.Fact) bool {
 	fa, fb := a.(lockFact), b.(lockFact)

@@ -683,10 +683,6 @@ func (d *aggDomain) Transfer(n ast.Node, in dataflow.Fact) dataflow.Fact {
 	return f
 }
 
-func (d *aggDomain) Refine(cond ast.Expr, truth bool, in dataflow.Fact) dataflow.Fact {
-	return in
-}
-
 func (d *aggDomain) Join(a, b dataflow.Fact) dataflow.Fact {
 	fa, fb := a.(aggFact), b.(aggFact)
 	out := fa.clone()
@@ -697,8 +693,6 @@ func (d *aggDomain) Join(a, b dataflow.Fact) dataflow.Fact {
 	}
 	return out
 }
-
-func (d *aggDomain) Widen(old, new dataflow.Fact) dataflow.Fact { return d.Join(old, new) }
 
 func (d *aggDomain) Equal(a, b dataflow.Fact) bool {
 	fa, fb := a.(aggFact), b.(aggFact)
