@@ -225,8 +225,7 @@ func FuzzConfigValidate(f *testing.F) {
 	}
 	// Each bound a Validate enforces, seeded just outside and just inside,
 	// under the technique whose code reads the field.
-	vr := TechVR
-	ints := func(at func(*RunConfig) *int, lo, hi int) { seedEdges(f, vr, at, lo-1, lo, hi, hi+1) }
+	ints := func(at func(*RunConfig) *int, lo, hi int) { seedEdges(f, TechVR, at, lo-1, lo, hi, hi+1) }
 	ints(func(rc *RunConfig) *int { return &rc.CPU.Width }, 1, 64)
 	ints(func(rc *RunConfig) *int { return &rc.CPU.ROBSize }, 1, 1<<20)
 	ints(func(rc *RunConfig) *int { return &rc.CPU.IQSize }, 1, 1<<20)
@@ -236,12 +235,12 @@ func FuzzConfigValidate(f *testing.F) {
 	ints(func(rc *RunConfig) *int { return &rc.CPU.FetchBufSize }, 1, 1<<20)
 	for fu := isa.FUNone + 1; fu < isa.NumFUClasses; fu++ {
 		ints(func(rc *RunConfig) *int { return &rc.CPU.FUCount[fu] }, 1, 1<<10)
-		seedEdges(f, vr, func(rc *RunConfig) *uint64 { return &rc.CPU.FULatency[fu] }, 0, 1)
+		seedEdges(f, TechVR, func(rc *RunConfig) *uint64 { return &rc.CPU.FULatency[fu] }, 0, 1)
 	}
-	seedEdges(f, vr, func(rc *RunConfig) *uint64 { return &rc.CPU.CheckInterval }, 0, 1, 1<<30, 1<<30+1)
-	seedEdges(f, vr, func(rc *RunConfig) *string { return &rc.CPU.Predictor.Kind }, "", "bimodal", "gshare")
+	seedEdges(f, TechVR, func(rc *RunConfig) *uint64 { return &rc.CPU.CheckInterval }, 0, 1, 1<<30, 1<<30+1)
+	seedEdges(f, TechVR, func(rc *RunConfig) *string { return &rc.CPU.Predictor.Kind }, "", "bimodal", "gshare")
 	// clampLog's lower edge; its upper edge (24) is too large to build.
-	seedEdges(f, vr, func(rc *RunConfig) *int { return &rc.CPU.Predictor.LogSize }, -1, 0)
+	seedEdges(f, TechVR, func(rc *RunConfig) *int { return &rc.CPU.Predictor.LogSize }, -1, 0)
 	levels := []func(m *mem.Config) (size, ways *int, latency *uint64){
 		func(m *mem.Config) (*int, *int, *uint64) { return &m.L1SizeBytes, &m.L1Ways, &m.L1Latency },
 		func(m *mem.Config) (*int, *int, *uint64) { return &m.L2SizeBytes, &m.L2Ways, &m.L2Latency },
@@ -252,19 +251,19 @@ func FuzzConfigValidate(f *testing.F) {
 		// 0, 1, 1024 and 1025 ways over a 64 KiB level.
 		for _, g := range [][2]int{{0, 1}, {64, 1}, {1 << 30, 1}, {2 << 30, 1},
 			{64 << 10, 0}, {64 << 10, 1}, {64 << 10, 1 << 10}, {64 << 10, 1<<10 + 1}} {
-			rc := fuzzRunConfig(vr)
+			rc := fuzzRunConfig(TechVR)
 			size, ways, _ := level(&rc.Mem)
 			*size, *ways = g[0], g[1]
 			addConfigSeed(f, rc)
 		}
-		seedEdges(f, vr, func(rc *RunConfig) *uint64 { _, _, lat := level(&rc.Mem); return lat }, 0, 1)
+		seedEdges(f, TechVR, func(rc *RunConfig) *uint64 { _, _, lat := level(&rc.Mem); return lat }, 0, 1)
 	}
 	ints(func(rc *RunConfig) *int { return &rc.Mem.MSHRs }, 1, 1<<16)
 	ints(func(rc *RunConfig) *int { return &rc.VR.VectorLength }, 1, 1<<12)
 	ints(func(rc *RunConfig) *int { return &rc.VR.LaneWidth }, 1, 1<<12)
 	ints(func(rc *RunConfig) *int { return &rc.VR.StrideEntries }, 1, 1<<20)
-	seedEdges(f, vr, func(rc *RunConfig) *uint64 { return &rc.VR.MaxChainInstrs }, 0, 1)
-	seedEdges(f, vr, func(rc *RunConfig) *uint64 { return &rc.VR.MaxInstrsPerActivation }, 0, 1)
+	seedEdges(f, TechVR, func(rc *RunConfig) *uint64 { return &rc.VR.MaxChainInstrs }, 0, 1)
+	seedEdges(f, TechVR, func(rc *RunConfig) *uint64 { return &rc.VR.MaxInstrsPerActivation }, 0, 1)
 	seedEdges(f, TechPRE, func(rc *RunConfig) *uint64 { return &rc.PRE.MaxInstrsPerActivation }, 0, 1)
 	seedEdges(f, TechRA, func(rc *RunConfig) *uint64 { return &rc.RA.MaxInstrsPerActivation }, 0, 1)
 
@@ -272,7 +271,7 @@ func FuzzConfigValidate(f *testing.F) {
 	// the corpus files and the fuzzed configuration follow one list.
 	target := reflect.MakeFunc(reflect.TypeFor[configFuzzTarget](), func(args []reflect.Value) []reflect.Value {
 		t := args[0].Interface().(*testing.T)
-		rc := fuzzRunConfig(fuzzTechs[int(args[1].Interface().(uint8))%len(fuzzTechs)])
+		rc := fuzzRunConfig(fuzzTechs[int(args[1].Uint())%len(fuzzTechs)])
 		for i, p := range fuzzFields(&rc) {
 			reflect.ValueOf(p).Elem().Set(args[i+2])
 		}
