@@ -152,9 +152,10 @@ func fuzzRunConfig(tech Technique) RunConfig {
 	return rc
 }
 
-// fuzzFields returns a pointer to every integer field of rc that a
-// Validate bounds, plus the predictor's kind and geometry, in
-// FuzzConfigValidate's argument order after the technique.
+// fuzzFields returns a pointer to every integer field of rc's core, cache,
+// VR, PRE and RA configurations that a Validate bounds, plus the
+// predictor's kind and geometry, in FuzzConfigValidate's argument order
+// after the technique. The fault configuration is not fuzzed.
 func fuzzFields(rc *RunConfig) []any {
 	c, m := &rc.CPU, &rc.Mem
 	fs := []any{&c.Width, &c.ROBSize, &c.IQSize, &c.LQSize, &c.SQSize, &c.FrontendDepth, &c.FetchBufSize}
@@ -173,6 +174,11 @@ func fuzzFields(rc *RunConfig) []any {
 // configFuzzTarget is FuzzConfigValidate's target type: the technique
 // index, then one parameter per fuzzFields entry, in its order and of its
 // type. The corpus files under testdata/fuzz/FuzzConfigValidate follow it.
+// go vet requires f.Fuzz's argument to have a static function type, so the
+// type is declared here rather than built from fuzzFields. Its parameter
+// names are documentation only: the target stores arguments by position
+// through fuzzFields, and a type that drifts from fuzzFields fails every
+// seed when reflect sets the field.
 type configFuzzTarget = func(t *testing.T, tech uint8,
 	width, rob, iq, lq, sq, frontendDepth, fetchBuf int,
 	intALUs int, intALULat uint64, intMuls int, intMulLat uint64, intDivs int, intDivLat uint64,
@@ -266,6 +272,17 @@ func FuzzConfigValidate(f *testing.F) {
 	seedEdges(f, TechVR, func(rc *RunConfig) *uint64 { return &rc.VR.MaxInstrsPerActivation }, 0, 1)
 	seedEdges(f, TechPRE, func(rc *RunConfig) *uint64 { return &rc.PRE.MaxInstrsPerActivation }, 0, 1)
 	seedEdges(f, TechRA, func(rc *RunConfig) *uint64 { return &rc.RA.MaxInstrsPerActivation }, 0, 1)
+	// The smallest valid VR machine: every core size, FU count, the MSHR
+	// file, VectorLength and LaneWidth at 1, over a 64-byte 1-way L1.
+	tiny := fuzzRunConfig(TechVR)
+	c := &tiny.CPU
+	c.Width, c.ROBSize, c.IQSize, c.LQSize, c.SQSize, c.FrontendDepth, c.FetchBufSize = 1, 1, 1, 1, 1, 1, 1
+	for fu := isa.FUNone + 1; fu < isa.NumFUClasses; fu++ {
+		c.FUCount[fu] = 1
+	}
+	tiny.Mem.L1SizeBytes, tiny.Mem.L1Ways, tiny.Mem.MSHRs = 64, 1, 1
+	tiny.VR.VectorLength, tiny.VR.LaneWidth = 1, 1
+	addConfigSeed(f, tiny)
 
 	// The target stores its arguments through fuzzFields, so the seeds,
 	// the corpus files and the fuzzed configuration follow one list.
