@@ -217,17 +217,15 @@ func run() int {
 		opt.Pool = pool
 	}
 
-	ids := []string{*exp}
-	switch *exp {
-	case "all":
-		ids = []string{"t1", "t2", "f2", "f7", "f8", "f9", "f10", "f11", "f12", "f13", "t3"}
-	case "ablations":
-		ids = []string{"a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9"}
-	}
-	for _, id := range ids {
-		if !knownExperiment(id) {
-			return configErr("unknown experiment %q", id)
+	var exps []harness.Experiment
+	var ids []string
+	for _, e := range harness.Experiments {
+		if e.ID == *exp || e.Group == *exp {
+			exps, ids = append(exps, e), append(ids, e.ID)
 		}
+	}
+	if len(exps) == 0 {
+		return configErr("unknown experiment %q", *exp)
 	}
 
 	if *checkpoint != "" {
@@ -286,12 +284,12 @@ func run() int {
 	opt.AbortCtx = hardCtx
 
 	failed, cancelled := false, false
-	for _, id := range ids {
-		degraded, wasCancelled, err := runExp(id, opt, *format)
+	for _, e := range exps {
+		degraded, wasCancelled, err := runExp(e, opt, *format)
 		if err != nil {
 			// Keep going: the remaining experiments still produce their
 			// tables; the campaign reports failure at the end.
-			fmt.Fprintf(os.Stderr, "vrbench: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "vrbench: %s: %v\n", e.ID, err)
 			failed = true
 			continue
 		}
@@ -334,66 +332,12 @@ func runWorker() int {
 	return exitOK
 }
 
-// experimentIDs is the set runExp dispatches on.
-var experimentIDs = map[string]bool{
-	"t1": true, "t2": true, "f2": true, "f7": true, "f8": true, "f9": true,
-	"f10": true, "f11": true, "f12": true, "f13": true, "t3": true,
-	"a1": true, "a2": true, "a3": true, "a4": true, "a5": true, "a6": true,
-	"a7": true, "a8": true, "a9": true,
-}
-
-func knownExperiment(id string) bool { return experimentIDs[id] }
-
 // runExp runs one experiment. degraded reports that the experiment
 // completed but one or more of its cells failed (the table carries the
 // error summary); cancelled reports that the campaign was interrupted
 // out of running some of its cells.
-func runExp(id string, opt harness.Options, format string) (degraded, cancelled bool, err error) {
-	var t *harness.Table
-	switch id {
-	case "t1":
-		t = harness.ExpT1Config()
-	case "t2":
-		t, err = harness.ExpT2Graphs(opt)
-	case "f2":
-		t, err = harness.ExpF2ROBSweep(opt)
-	case "f7":
-		t, _, err = harness.ExpF7Performance(opt)
-	case "f8":
-		t, err = harness.ExpF8Ablation(opt)
-	case "f9":
-		t, err = harness.ExpF9MLP(opt)
-	case "f10":
-		t, err = harness.ExpF10AccuracyCoverage(opt)
-	case "f11":
-		t, err = harness.ExpF11Timeliness(opt)
-	case "f12":
-		t, err = harness.ExpF12VectorLength(opt)
-	case "f13":
-		t, err = harness.ExpF13DelayedTermination(opt)
-	case "t3":
-		t = harness.ExpT3Hardware()
-	case "a1":
-		t, err = harness.ExpA1MSHRSweep(opt)
-	case "a2":
-		t, err = harness.ExpA2BandwidthSweep(opt)
-	case "a3":
-		t, err = harness.ExpA3Predictors(opt)
-	case "a4":
-		t, err = harness.ExpA4StridePrefetcher(opt)
-	case "a5":
-		t, err = harness.ExpA5CoreScaling(opt)
-	case "a6":
-		t, err = harness.ExpA6LoopBound(opt)
-	case "a7":
-		t, err = harness.ExpA7RunaheadLineage(opt)
-	case "a8":
-		t, err = harness.ExpA8Reconverge(opt)
-	case "a9":
-		t, err = harness.ExpA9ExtraWork(opt)
-	default:
-		return false, false, fmt.Errorf("unknown experiment %q", id)
-	}
+func runExp(e harness.Experiment, opt harness.Options, format string) (degraded, cancelled bool, err error) {
+	t, err := e.Run(opt)
 	if err != nil {
 		return false, false, err
 	}

@@ -135,6 +135,43 @@ const errCell = "ERR"
 // sweeps (F2, F12): one representative per domain class.
 var sweepSet = []string{"bfs_kr", "sssp_kr", "camel", "hj8", "kangaroo"}
 
+// Experiment is one table vrbench renders: its -exp id, the -exp selector
+// that also runs it ("all" for the paper's tables and figures, "ablations"
+// for A1–A9), and its driver.
+type Experiment struct {
+	ID    string
+	Group string
+	Run   func(Options) (*Table, error)
+}
+
+// Experiments lists every experiment: the paper's in `vrbench -exp all`
+// order, then the ablations in `-exp ablations` order.
+var Experiments = []Experiment{
+	{"t1", "all", func(Options) (*Table, error) { return ExpT1Config(), nil }},
+	{"t2", "all", ExpT2Graphs},
+	{"f2", "all", ExpF2ROBSweep},
+	{"f7", "all", func(o Options) (*Table, error) {
+		t, _, err := ExpF7Performance(o)
+		return t, err
+	}},
+	{"f8", "all", ExpF8Ablation},
+	{"f9", "all", ExpF9MLP},
+	{"f10", "all", ExpF10AccuracyCoverage},
+	{"f11", "all", ExpF11Timeliness},
+	{"f12", "all", ExpF12VectorLength},
+	{"f13", "all", ExpF13DelayedTermination},
+	{"t3", "all", func(Options) (*Table, error) { return ExpT3Hardware(), nil }},
+	{"a1", "ablations", ExpA1MSHRSweep},
+	{"a2", "ablations", ExpA2BandwidthSweep},
+	{"a3", "ablations", ExpA3Predictors},
+	{"a4", "ablations", ExpA4StridePrefetcher},
+	{"a5", "ablations", ExpA5CoreScaling},
+	{"a6", "ablations", ExpA6LoopBound},
+	{"a7", "ablations", ExpA7RunaheadLineage},
+	{"a8", "ablations", ExpA8Reconverge},
+	{"a9", "ablations", ExpA9ExtraWork},
+}
+
 // ExpT1Config renders the baseline core configuration (paper Table 1).
 func ExpT1Config() *Table {
 	cfg := cpu.DefaultConfig()
