@@ -20,7 +20,7 @@ import (
 	"vrsim/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden retired-instruction trace fixtures")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden fixtures: retired traces, simulated timing and experiment tables")
 
 // goldenTraceLen is how many leading commits each fixture pins.
 const goldenTraceLen = 64
