@@ -3,6 +3,7 @@ package harness
 import (
 	"vrsim/internal/branch"
 	"vrsim/internal/cpu"
+	"vrsim/internal/workloads"
 )
 
 // The experiments below go beyond the paper's figures: they probe the
@@ -16,11 +17,57 @@ import (
 // checkpoint/resume and graceful cancellation (DESIGN.md §10) — applies
 // here without any per-driver code.
 
-// pairSweep covers the common ablation shape: for each point of a sweep
-// and each workload, one OoO run and one VR run (the VR cell dependent on
-// the OoO cell, mirroring the serial drivers that skipped VR when its
-// baseline failed).
-type pairCell struct{ o, v *sweepCell }
+// pairSweep covers the common ablation shape. For each of n points and
+// then each workload it declares an OoO cell and a VR cell that depends
+// on it, both configured for the point by set, which also returns the
+// point's row label. It then runs the sweep and adds one row per point:
+// the label, then render's columns over the pairs in which both cells
+// survived, or ERR in every column when none did.
+func (s *sweep) pairSweep(ws []*workloads.Workload, n int, set func(p int, rc *RunConfig) string, render func(ooo, vr []Result) []string) {
+	labels := make([]string, n)
+	pairs := make([][][2]*sweepCell, n)
+	for p := range pairs {
+		o, v := DefaultRunConfig(TechOoO), DefaultRunConfig(TechVR)
+		labels[p] = set(p, &o)
+		set(p, &v)
+		for _, w := range ws {
+			co := s.cell(w, o)
+			pairs[p] = append(pairs[p], [2]*sweepCell{co, s.cell(w, v, co)})
+		}
+	}
+	s.run()
+	for p, label := range labels {
+		var ooo, vr []Result
+		for _, c := range pairs[p] {
+			ro, okO := c[0].result()
+			rv, okV := c[1].result()
+			if okO && okV {
+				ooo, vr = append(ooo, ro), append(vr, rv)
+			}
+		}
+		row := []string{label}
+		if len(ooo) == 0 {
+			for len(row) < len(s.t.Header) {
+				row = append(row, errCell)
+			}
+		} else {
+			row = append(row, render(ooo, vr)...)
+		}
+		s.t.AddRow(row...)
+	}
+}
+
+// ipcGain renders a pair-sweep point's h-mean OoO IPC, VR IPC and VR
+// speedup over OoO.
+func ipcGain(ooo, vr []Result) []string {
+	var oooIPC, vrIPC, gain []float64
+	for i := range ooo {
+		oooIPC = append(oooIPC, ooo[i].IPC)
+		vrIPC = append(vrIPC, vr[i].IPC)
+		gain = append(gain, Speedup(ooo[i], vr[i]))
+	}
+	return []string{f(HarmonicMean(oooIPC)), f(HarmonicMean(vrIPC)), f(HarmonicMean(gain))}
+}
 
 // ExpA1MSHRSweep varies the L1-D MSHR count: the structure VR exists to
 // keep full. Too few MSHRs choke the gathers; beyond saturation, extra
@@ -33,43 +80,16 @@ func ExpA1MSHRSweep(opt Options) (*Table, error) {
 	t := &Table{ID: "A1", Title: "Ablation: MSHR count (h-mean over sweep set)",
 		Header: []string{"MSHRs", "ooo IPC", "vr IPC", "vr gain", "vr MLP"}}
 	points := []int{12, 24, 48}
-	sw := opt.newSweep(t)
-	plan := make([][]pairCell, len(points))
-	for pi, n := range points {
-		plan[pi] = make([]pairCell, len(ws))
-		for i, w := range ws {
-			rcO := DefaultRunConfig(TechOoO)
-			rcO.Mem.MSHRs = n
-			co := sw.cell(w, rcO)
-			rcV := DefaultRunConfig(TechVR)
-			rcV.Mem.MSHRs = n
-			plan[pi][i] = pairCell{o: co, v: sw.cell(w, rcV, co)}
+	opt.newSweep(t).pairSweep(ws, len(points), func(p int, rc *RunConfig) string {
+		rc.Mem.MSHRs = points[p]
+		return d(uint64(points[p]))
+	}, func(ooo, vr []Result) []string {
+		var mlp []float64
+		for _, r := range vr {
+			mlp = append(mlp, r.MLP)
 		}
-	}
-	sw.run()
-	for pi, n := range points {
-		var oooIPC, vrIPC, gain, mlp []float64
-		for i := range ws {
-			ro, ok := plan[pi][i].o.result()
-			if !ok {
-				continue
-			}
-			rv, ok := plan[pi][i].v.result()
-			if !ok {
-				continue
-			}
-			oooIPC = append(oooIPC, ro.IPC)
-			vrIPC = append(vrIPC, rv.IPC)
-			gain = append(gain, Speedup(ro, rv))
-			mlp = append(mlp, rv.MLP)
-		}
-		if len(oooIPC) == 0 {
-			t.AddRow(d(uint64(n)), errCell, errCell, errCell, errCell)
-			continue
-		}
-		t.AddRow(d(uint64(n)), f(HarmonicMean(oooIPC)), f(HarmonicMean(vrIPC)),
-			f(HarmonicMean(gain)), f(mean(mlp)))
-	}
+		return append(ipcGain(ooo, vr), f(mean(mlp)))
+	})
 	return t, nil
 }
 
@@ -84,41 +104,10 @@ func ExpA2BandwidthSweep(opt Options) (*Table, error) {
 	t := &Table{ID: "A2", Title: "Ablation: DRAM bandwidth (h-mean over sweep set)",
 		Header: []string{"GB/s", "ooo IPC", "vr IPC", "vr gain"}}
 	points := []float64{25.6, 51.2, 102.4}
-	sw := opt.newSweep(t)
-	plan := make([][]pairCell, len(points))
-	for pi, gbs := range points {
-		plan[pi] = make([]pairCell, len(ws))
-		for i, w := range ws {
-			rcO := DefaultRunConfig(TechOoO)
-			rcO.Mem.DRAMGBs = gbs
-			co := sw.cell(w, rcO)
-			rcV := DefaultRunConfig(TechVR)
-			rcV.Mem.DRAMGBs = gbs
-			plan[pi][i] = pairCell{o: co, v: sw.cell(w, rcV, co)}
-		}
-	}
-	sw.run()
-	for pi, gbs := range points {
-		var oooIPC, vrIPC, gain []float64
-		for i := range ws {
-			ro, ok := plan[pi][i].o.result()
-			if !ok {
-				continue
-			}
-			rv, ok := plan[pi][i].v.result()
-			if !ok {
-				continue
-			}
-			oooIPC = append(oooIPC, ro.IPC)
-			vrIPC = append(vrIPC, rv.IPC)
-			gain = append(gain, Speedup(ro, rv))
-		}
-		if len(oooIPC) == 0 {
-			t.AddRow(fx(gbs, 1), errCell, errCell, errCell)
-			continue
-		}
-		t.AddRow(fx(gbs, 1), f(HarmonicMean(oooIPC)), f(HarmonicMean(vrIPC)), f(HarmonicMean(gain)))
-	}
+	opt.newSweep(t).pairSweep(ws, len(points), func(p int, rc *RunConfig) string {
+		rc.Mem.DRAMGBs = points[p]
+		return fx(points[p], 1)
+	}, ipcGain)
 	return t, nil
 }
 
@@ -140,41 +129,17 @@ func ExpA3Predictors(opt Options) (*Table, error) {
 	}
 	t := &Table{ID: "A3", Title: "Ablation: branch predictor (h-mean over sweep set)",
 		Header: []string{"predictor", "ooo IPC", "vr gain", "mispredict rate"}}
-	sw := opt.newSweep(t)
-	plan := make([][]pairCell, len(preds))
-	for pi, p := range preds {
-		plan[pi] = make([]pairCell, len(ws))
-		for i, w := range ws {
-			rcO := DefaultRunConfig(TechOoO)
-			rcO.CPU.Predictor = p.spec
-			co := sw.cell(w, rcO)
-			rcV := DefaultRunConfig(TechVR)
-			rcV.CPU.Predictor = p.spec
-			plan[pi][i] = pairCell{o: co, v: sw.cell(w, rcV, co)}
+	opt.newSweep(t).pairSweep(ws, len(preds), func(p int, rc *RunConfig) string {
+		rc.CPU.Predictor = preds[p].spec
+		return preds[p].name
+	}, func(ooo, vr []Result) []string {
+		var mr []float64
+		for _, r := range ooo {
+			mr = append(mr, r.MispredictRate)
 		}
-	}
-	sw.run()
-	for pi, p := range preds {
-		var oooIPC, gain, mr []float64
-		for i := range ws {
-			ro, ok := plan[pi][i].o.result()
-			if !ok {
-				continue
-			}
-			rv, ok := plan[pi][i].v.result()
-			if !ok {
-				continue
-			}
-			oooIPC = append(oooIPC, ro.IPC)
-			gain = append(gain, Speedup(ro, rv))
-			mr = append(mr, ro.MispredictRate)
-		}
-		if len(oooIPC) == 0 {
-			t.AddRow(p.name, errCell, errCell, errCell)
-			continue
-		}
-		t.AddRow(p.name, f(HarmonicMean(oooIPC)), f(HarmonicMean(gain)), pct(mean(mr)))
-	}
+		g := ipcGain(ooo, vr)
+		return []string{g[0], g[2], pct(mean(mr))}
+	})
 	return t, nil
 }
 
@@ -188,46 +153,11 @@ func ExpA4StridePrefetcher(opt Options) (*Table, error) {
 	}
 	t := &Table{ID: "A4", Title: "Ablation: L1-D stride prefetcher (h-mean over sweep set)",
 		Header: []string{"config", "ooo IPC", "vr IPC", "vr gain"}}
-	points := []bool{false, true}
-	sw := opt.newSweep(t)
-	plan := make([][]pairCell, len(points))
-	for pi, off := range points {
-		plan[pi] = make([]pairCell, len(ws))
-		for i, w := range ws {
-			rcO := DefaultRunConfig(TechOoO)
-			rcO.DisableStridePrefetcher = off
-			co := sw.cell(w, rcO)
-			rcV := DefaultRunConfig(TechVR)
-			rcV.DisableStridePrefetcher = off
-			plan[pi][i] = pairCell{o: co, v: sw.cell(w, rcV, co)}
-		}
-	}
-	sw.run()
-	for pi, off := range points {
-		label := "stride pf on"
-		if off {
-			label = "stride pf off"
-		}
-		var oooIPC, vrIPC, gain []float64
-		for i := range ws {
-			ro, ok := plan[pi][i].o.result()
-			if !ok {
-				continue
-			}
-			rv, ok := plan[pi][i].v.result()
-			if !ok {
-				continue
-			}
-			oooIPC = append(oooIPC, ro.IPC)
-			vrIPC = append(vrIPC, rv.IPC)
-			gain = append(gain, Speedup(ro, rv))
-		}
-		if len(oooIPC) == 0 {
-			t.AddRow(label, errCell, errCell, errCell)
-			continue
-		}
-		t.AddRow(label, f(HarmonicMean(oooIPC)), f(HarmonicMean(vrIPC)), f(HarmonicMean(gain)))
-	}
+	labels := []string{"stride pf on", "stride pf off"}
+	opt.newSweep(t).pairSweep(ws, len(labels), func(p int, rc *RunConfig) string {
+		rc.DisableStridePrefetcher = p == 1
+		return labels[p]
+	}, ipcGain)
 	return t, nil
 }
 
@@ -246,41 +176,10 @@ func ExpA5CoreScaling(opt Options) (*Table, error) {
 	}
 	t := &Table{ID: "A5", Title: "Ablation: full back-end scaling (h-mean over sweep set)",
 		Header: []string{"ROB (scaled queues)", "ooo IPC", "vr IPC", "vr gain"}}
-	sw := opt.newSweep(t)
-	plan := make([][]pairCell, len(sizes))
-	for pi, size := range sizes {
-		plan[pi] = make([]pairCell, len(ws))
-		for i, w := range ws {
-			rcO := DefaultRunConfig(TechOoO)
-			rcO.CPU = cpu.DefaultConfig().WithROB(size)
-			co := sw.cell(w, rcO)
-			rcV := DefaultRunConfig(TechVR)
-			rcV.CPU = cpu.DefaultConfig().WithROB(size)
-			plan[pi][i] = pairCell{o: co, v: sw.cell(w, rcV, co)}
-		}
-	}
-	sw.run()
-	for pi, size := range sizes {
-		var oooIPC, vrIPC, gain []float64
-		for i := range ws {
-			ro, ok := plan[pi][i].o.result()
-			if !ok {
-				continue
-			}
-			rv, ok := plan[pi][i].v.result()
-			if !ok {
-				continue
-			}
-			oooIPC = append(oooIPC, ro.IPC)
-			vrIPC = append(vrIPC, rv.IPC)
-			gain = append(gain, Speedup(ro, rv))
-		}
-		if len(oooIPC) == 0 {
-			t.AddRow(d(uint64(size)), errCell, errCell, errCell)
-			continue
-		}
-		t.AddRow(d(uint64(size)), f(HarmonicMean(oooIPC)), f(HarmonicMean(vrIPC)), f(HarmonicMean(gain)))
-	}
+	opt.newSweep(t).pairSweep(ws, len(sizes), func(p int, rc *RunConfig) string {
+		rc.CPU = cpu.DefaultConfig().WithROB(sizes[p])
+		return d(uint64(sizes[p]))
+	}, ipcGain)
 	return t, nil
 }
 
@@ -297,26 +196,19 @@ func ExpA6LoopBound(opt Options) (*Table, error) {
 	}
 	t := &Table{ID: "A6", Title: "Extension: loop-bound-aware vectorization",
 		Header: []string{"workload", "vr", "vr+bounds", "bound-masked lanes", "traffic ratio"}}
+	rcBounded := DefaultRunConfig(TechVR)
+	rcBounded.VR.LoopBoundAware = true
 	sw := opt.newSweep(t)
-	type wCells struct{ base, plain, bounded *sweepCell }
-	plan := make([]wCells, len(ws))
-	for i, w := range ws {
-		base := sw.cell(w, DefaultRunConfig(TechOoO))
-		plain := sw.cell(w, DefaultRunConfig(TechVR), base)
-		rc := DefaultRunConfig(TechVR)
-		rc.VR.LoopBoundAware = true
-		bounded := sw.cell(w, rc, base)
-		plan[i] = wCells{base: base, plain: plain, bounded: bounded}
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO), DefaultRunConfig(TechVR), rcBounded)
 	sw.run()
 	for i, w := range ws {
-		base, ok := plan[i].base.result()
+		base, ok := cells[i][0].result()
 		if !ok {
 			t.AddRow(w.Name, errCell, errCell, errCell, errCell)
 			continue
 		}
-		plain, okP := plan[i].plain.result()
-		bounded, okB := plan[i].bounded.result()
+		plain, okP := cells[i][1].result()
+		bounded, okB := cells[i][2].result()
 		vrC, boundsC, lanesC, ratioC := errCell, errCell, errCell, errCell
 		if okP {
 			vrC = f(Speedup(base, plain))
@@ -349,42 +241,11 @@ func ExpA7RunaheadLineage(opt Options) (*Table, error) {
 	}
 	t := &Table{ID: "A7", Title: "Runahead lineage (speedup over OoO baseline)",
 		Header: []string{"workload", "classic ra", "pre", "vr"}}
-	techs := []Technique{TechRA, TechPRE, TechVR}
 	sw := opt.newSweep(t)
-	type wCells struct {
-		base *sweepCell
-		tech []*sweepCell
-	}
-	plan := make([]wCells, len(ws))
-	for i, w := range ws {
-		wc := wCells{base: sw.cell(w, DefaultRunConfig(TechOoO))}
-		for _, tech := range techs {
-			wc.tech = append(wc.tech, sw.cell(w, DefaultRunConfig(tech), wc.base))
-		}
-		plan[i] = wc
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO),
+		DefaultRunConfig(TechRA), DefaultRunConfig(TechPRE), DefaultRunConfig(TechVR))
 	sw.run()
-	var sums [3][]float64
-	for i, w := range ws {
-		base, ok := plan[i].base.result()
-		if !ok {
-			t.AddRow(w.Name, errCell, errCell, errCell)
-			continue
-		}
-		cells := []string{w.Name}
-		for j := range techs {
-			r, ok := plan[i].tech[j].result()
-			if !ok {
-				cells = append(cells, errCell)
-				continue
-			}
-			s := Speedup(base, r)
-			sums[j] = append(sums[j], s)
-			cells = append(cells, f(s))
-		}
-		t.AddRow(cells...)
-	}
-	t.AddRow("h-mean", f(HarmonicMean(sums[0])), f(HarmonicMean(sums[1])), f(HarmonicMean(sums[2])))
+	speedupRows(t, cells, false, nil)
 	return t, nil
 }
 
@@ -405,34 +266,24 @@ func ExpA8Reconverge(opt Options) (*Table, error) {
 	// divergence point at all, so this ablation relaxes the hold bound for
 	// both arms — isolating the reconvergence variable.
 	const holdForDivergence = 2048
+	rcPlain := DefaultRunConfig(TechVR)
+	rcPlain.VR.MaxHoldCycles = holdForDivergence
+	rcStacked := rcPlain
+	rcStacked.VR.Reconverge = true
 	sw := opt.newSweep(t)
-	type wCells struct{ base, plain, stacked *sweepCell }
-	plan := make([]wCells, len(ws))
-	for i, w := range ws {
-		base := sw.cell(w, DefaultRunConfig(TechOoO))
-		rcPlain := DefaultRunConfig(TechVR)
-		rcPlain.VR.MaxHoldCycles = holdForDivergence
-		plain := sw.cell(w, rcPlain, base)
-		rc := DefaultRunConfig(TechVR)
-		rc.VR.MaxHoldCycles = holdForDivergence
-		rc.VR.Reconverge = true
-		stacked := sw.cell(w, rc, base)
-		plan[i] = wCells{base: base, plain: plain, stacked: stacked}
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO), rcPlain, rcStacked)
 	sw.run()
 	for i, w := range ws {
-		if _, ok := plan[i].base.result(); !ok {
+		base, ok := cells[i][0].result()
+		if !ok {
 			t.AddRow(w.Name, errCell, errCell, errCell, errCell)
 			continue
 		}
-		base, _ := plan[i].base.result()
-		plain, okP := plan[i].plain.result()
-		stacked, okS := plan[i].stacked.result()
 		vrC, stackC, stashC, resumeC := errCell, errCell, errCell, errCell
-		if okP {
+		if plain, ok := cells[i][1].result(); ok {
 			vrC = f(Speedup(base, plain))
 		}
-		if okS {
+		if stacked, ok := cells[i][2].result(); ok {
 			stackC = f(Speedup(base, stacked))
 			stashC = d(stacked.VRStats.LanesStashed)
 			resumeC = d(stacked.VRStats.LanesResumed)
@@ -455,32 +306,23 @@ func ExpA9ExtraWork(opt Options) (*Table, error) {
 	t := &Table{ID: "A9", Title: "Pre-executed (discarded) work per committed instruction",
 		Header: []string{"workload", "classic ra", "pre", "vr", "vr speedup"}}
 	sw := opt.newSweep(t)
-	type wCells struct{ base, ra, pre, vr *sweepCell }
-	plan := make([]wCells, len(ws))
-	for i, w := range ws {
-		base := sw.cell(w, DefaultRunConfig(TechOoO))
-		plan[i] = wCells{
-			base: base,
-			ra:   sw.cell(w, DefaultRunConfig(TechRA), base),
-			pre:  sw.cell(w, DefaultRunConfig(TechPRE), base),
-			vr:   sw.cell(w, DefaultRunConfig(TechVR), base),
-		}
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO),
+		DefaultRunConfig(TechRA), DefaultRunConfig(TechPRE), DefaultRunConfig(TechVR))
 	sw.run()
 	for i, w := range ws {
-		base, ok := plan[i].base.result()
+		base, ok := cells[i][0].result()
 		if !ok {
 			t.AddRow(w.Name, errCell, errCell, errCell, errCell)
 			continue
 		}
 		raC, preC, vrC, spC := errCell, errCell, errCell, errCell
-		if ra, ok := plan[i].ra.result(); ok {
+		if ra, ok := cells[i][1].result(); ok {
 			raC = pct(float64(ra.RAStats.Instrs) / float64(ra.Instrs))
 		}
-		if pre, ok := plan[i].pre.result(); ok {
+		if pre, ok := cells[i][2].result(); ok {
 			preC = pct(float64(pre.PREStats.Instrs) / float64(pre.Instrs))
 		}
-		if vr, ok := plan[i].vr.result(); ok {
+		if vr, ok := cells[i][3].result(); ok {
 			vrWork := vr.VRStats.ScalarInstrs + vr.VRStats.VectorUops + vr.VRStats.GatherLoads
 			vrC = pct(float64(vrWork) / float64(vr.Instrs))
 			spC = f(Speedup(base, vr))

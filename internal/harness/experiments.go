@@ -193,6 +193,62 @@ func ExpT1Config() *Table {
 	return t
 }
 
+// perWorkload declares, for each workload in order, a cell under base and
+// then one cell per variant that depends on it. Entry i holds workload i's
+// cells: its base first, then its variants in order.
+func (s *sweep) perWorkload(ws []*workloads.Workload, base RunConfig, variants ...RunConfig) [][]*sweepCell {
+	cells := make([][]*sweepCell, len(ws))
+	for i, w := range ws {
+		b := s.cell(w, base)
+		cells[i] = []*sweepCell{b}
+		for _, rc := range variants {
+			cells[i] = append(cells[i], s.cell(w, rc, b))
+		}
+	}
+	return cells
+}
+
+// speedupRows renders perWorkload cells as a speedup matrix: one row per
+// workload with each variant's speedup over its base — led by the base's
+// own column when withBase is set — and then an h-mean row over each
+// column's surviving speedups. A failed cell renders as ERR, and so does
+// every variant of a failed base, since the sweep skips it. each, when
+// non-nil, receives every surviving speedup by workload and column.
+func speedupRows(t *Table, cells [][]*sweepCell, withBase bool, each func(i, col int, s float64)) {
+	cols := make([][]float64, len(t.Header)-1)
+	for i, wc := range cells {
+		row := []string{wc[0].w.Name}
+		base, _ := wc[0].result()
+		if !withBase {
+			wc = wc[1:]
+		}
+		for j, c := range wc {
+			r, ok := c.result()
+			if !ok {
+				row = append(row, errCell)
+				continue
+			}
+			s := Speedup(base, r)
+			cols[j] = append(cols[j], s)
+			if each != nil {
+				each(i, j, s)
+			}
+			row = append(row, f(s))
+		}
+		t.AddRow(row...)
+	}
+	hmean := []string{"h-mean"}
+	for j, xs := range cols {
+		if withBase && j == 0 {
+			// The base column's h-mean is printed as a constant.
+			hmean = append(hmean, "1.00")
+			continue
+		}
+		hmean = append(hmean, f(HarmonicMean(xs)))
+	}
+	t.AddRow(hmean...)
+}
+
 // ExpT2Graphs reports the synthetic graph inputs and their measured
 // pressure on the LLC (paper Table 2 analogue: nodes, edges, LLC MPKI
 // aggregated over the GAP kernels).
@@ -218,16 +274,13 @@ func ExpT2Graphs(opt Options) (*Table, error) {
 	t := &Table{ID: "T2", Title: "Graph inputs (synthetic stand-ins for Table 2)",
 		Header: []string{"input", "kernel", "nodes", "edges", "LLC MPKI (ooo)"}}
 	sw := opt.newSweep(t)
-	cells := make([]*sweepCell, len(ws))
-	for i, w := range ws {
-		cells[i] = sw.cell(w, DefaultRunConfig(TechOoO))
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO))
 	sw.run()
 	i := 0
 	for _, k := range kernels {
 		for _, name := range k.names {
 			mpki := errCell
-			if r, ok := cells[i].result(); ok {
+			if r, ok := cells[i][0].result(); ok {
 				mpki = f(r.LLCMPKI)
 			}
 			t.AddRow(k.input, name, d(1<<workloads.DefaultGraphScale), "~"+d(uint64(1<<workloads.DefaultGraphScale)*8), mpki)
@@ -255,50 +308,19 @@ func ExpF7Performance(opt Options) (*Table, []PerfRow, error) {
 	}
 	t := &Table{ID: "F7", Title: "Normalized performance (speedup over OoO baseline)",
 		Header: []string{"workload", "ooo", "pre", "imp", "vr", "oracle"}}
-	techs := []Technique{TechPRE, TechIMP, TechVR, TechOracle}
+	techs := []Technique{TechOoO, TechPRE, TechIMP, TechVR, TechOracle}
+	var variants []RunConfig
+	for _, tech := range techs[1:] {
+		variants = append(variants, DefaultRunConfig(tech))
+	}
 	sw := opt.newSweep(t)
-	type wCells struct {
-		base *sweepCell
-		tech []*sweepCell
-	}
-	plan := make([]wCells, len(ws))
-	for i, w := range ws {
-		wc := wCells{base: sw.cell(w, DefaultRunConfig(TechOoO))}
-		for _, tech := range techs {
-			wc.tech = append(wc.tech, sw.cell(w, DefaultRunConfig(tech), wc.base))
-		}
-		plan[i] = wc
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO), variants...)
 	sw.run()
-	rows := make([]PerfRow, 0, len(ws))
-	sums := map[Technique][]float64{}
+	rows := make([]PerfRow, len(ws))
 	for i, w := range ws {
-		row := PerfRow{Workload: w.Name, Speedup: map[Technique]float64{}}
-		base, ok := plan[i].base.result()
-		if !ok {
-			// No baseline, nothing to normalize against: the whole row fails.
-			t.AddRow(w.Name, errCell, errCell, errCell, errCell, errCell)
-			rows = append(rows, row)
-			continue
-		}
-		row.Speedup[TechOoO] = 1.0
-		cells := []string{w.Name, "1.00"}
-		for j, tech := range techs {
-			r, ok := plan[i].tech[j].result()
-			if !ok {
-				cells = append(cells, errCell)
-				continue
-			}
-			s := Speedup(base, r)
-			row.Speedup[tech] = s
-			sums[tech] = append(sums[tech], s)
-			cells = append(cells, f(s))
-		}
-		rows = append(rows, row)
-		t.AddRow(cells...)
+		rows[i] = PerfRow{Workload: w.Name, Speedup: map[Technique]float64{}}
 	}
-	t.AddRow("h-mean", "1.00", f(HarmonicMean(sums[TechPRE])), f(HarmonicMean(sums[TechIMP])),
-		f(HarmonicMean(sums[TechVR])), f(HarmonicMean(sums[TechOracle])))
+	speedupRows(t, cells, true, func(i, j int, s float64) { rows[i].Speedup[techs[j]] = s })
 	return t, rows, nil
 }
 
@@ -320,12 +342,9 @@ func ExpF2ROBSweep(opt Options) (*Table, error) {
 
 	// Baseline at 350 per workload; a workload whose baseline fails drops
 	// out of every sweep point.
-	bases := make([]*sweepCell, len(ws))
-	for i, w := range ws {
-		rc := DefaultRunConfig(TechOoO)
-		rc.CPU = rc.CPU.WithROB(350)
-		bases[i] = sw.cell(w, rc)
-	}
+	rc := DefaultRunConfig(TechOoO)
+	rc.CPU = rc.CPU.WithROB(350)
+	bases := sw.perWorkload(ws, rc)
 	type point struct{ o, v *sweepCell }
 	points := make([][]point, len(sizes))
 	for si, size := range sizes {
@@ -333,10 +352,10 @@ func ExpF2ROBSweep(opt Options) (*Table, error) {
 		for i, w := range ws {
 			rcO := DefaultRunConfig(TechOoO)
 			rcO.CPU = rcO.CPU.WithROB(size)
-			co := sw.cell(w, rcO, bases[i])
+			co := sw.cell(w, rcO, bases[i][0])
 			rcV := DefaultRunConfig(TechVR)
 			rcV.CPU = rcV.CPU.WithROB(size)
-			cv := sw.cell(w, rcV, bases[i], co)
+			cv := sw.cell(w, rcV, bases[i][0], co)
 			points[si][i] = point{o: co, v: cv}
 		}
 	}
@@ -344,7 +363,7 @@ func ExpF2ROBSweep(opt Options) (*Table, error) {
 	for si, size := range sizes {
 		var oooS, vrS, stall []float64
 		for i := range ws {
-			base, ok := bases[i].result()
+			base, ok := bases[i][0].result()
 			if !ok {
 				continue
 			}
@@ -380,49 +399,14 @@ func ExpF8Ablation(opt Options) (*Table, error) {
 	}
 	t := &Table{ID: "F8", Title: "VR mechanism breakdown (speedup over OoO baseline)",
 		Header: []string{"workload", "pre", "vr vl=1", "vr no-delay", "vr full"}}
+	oneLane, noDelay := DefaultRunConfig(TechVR), DefaultRunConfig(TechVR)
+	oneLane.VR.VectorLength = 1
+	noDelay.VR.DelayedTermination = false
 	sw := opt.newSweep(t)
-	type wCells struct {
-		base *sweepCell
-		cfg  [4]*sweepCell
-	}
-	plan := make([]wCells, len(ws))
-	for i, w := range ws {
-		wc := wCells{base: sw.cell(w, DefaultRunConfig(TechOoO))}
-		configs := make([]RunConfig, 4)
-		configs[0] = DefaultRunConfig(TechPRE)
-		configs[1] = DefaultRunConfig(TechVR)
-		configs[1].VR.VectorLength = 1
-		configs[2] = DefaultRunConfig(TechVR)
-		configs[2].VR.DelayedTermination = false
-		configs[3] = DefaultRunConfig(TechVR)
-		for j, rc := range configs {
-			wc.cfg[j] = sw.cell(w, rc, wc.base)
-		}
-		plan[i] = wc
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO),
+		DefaultRunConfig(TechPRE), oneLane, noDelay, DefaultRunConfig(TechVR))
 	sw.run()
-	var sums [4][]float64
-	for i, w := range ws {
-		base, ok := plan[i].base.result()
-		if !ok {
-			t.AddRow(w.Name, errCell, errCell, errCell, errCell)
-			continue
-		}
-		cells := []string{w.Name}
-		for j := range plan[i].cfg {
-			r, ok := plan[i].cfg[j].result()
-			if !ok {
-				cells = append(cells, errCell)
-				continue
-			}
-			s := Speedup(base, r)
-			sums[j] = append(sums[j], s)
-			cells = append(cells, f(s))
-		}
-		t.AddRow(cells...)
-	}
-	t.AddRow("h-mean", f(HarmonicMean(sums[0])), f(HarmonicMean(sums[1])),
-		f(HarmonicMean(sums[2])), f(HarmonicMean(sums[3])))
+	speedupRows(t, cells, false, nil)
 	return t, nil
 }
 
@@ -436,20 +420,15 @@ func ExpF9MLP(opt Options) (*Table, error) {
 	t := &Table{ID: "F9", Title: "Memory-level parallelism (avg MSHRs in use per cycle)",
 		Header: []string{"workload", "ooo", "vr", "ratio"}}
 	sw := opt.newSweep(t)
-	type pair struct{ o, v *sweepCell }
-	plan := make([]pair, len(ws))
-	for i, w := range ws {
-		co := sw.cell(w, DefaultRunConfig(TechOoO))
-		plan[i] = pair{o: co, v: sw.cell(w, DefaultRunConfig(TechVR), co)}
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO), DefaultRunConfig(TechVR))
 	sw.run()
 	for i, w := range ws {
-		ro, ok := plan[i].o.result()
+		ro, ok := cells[i][0].result()
 		if !ok {
 			t.AddRow(w.Name, errCell, errCell, errCell)
 			continue
 		}
-		rv, ok := plan[i].v.result()
+		rv, ok := cells[i][1].result()
 		if !ok {
 			t.AddRow(w.Name, f(ro.MLP), errCell, errCell)
 			continue
@@ -474,20 +453,15 @@ func ExpF10AccuracyCoverage(opt Options) (*Table, error) {
 	t := &Table{ID: "F10", Title: "Off-chip traffic and coverage (VR vs. baseline)",
 		Header: []string{"workload", "ooo demand", "vr demand", "vr runahead", "traffic ratio", "coverage"}}
 	sw := opt.newSweep(t)
-	type pair struct{ o, v *sweepCell }
-	plan := make([]pair, len(ws))
-	for i, w := range ws {
-		co := sw.cell(w, DefaultRunConfig(TechOoO))
-		plan[i] = pair{o: co, v: sw.cell(w, DefaultRunConfig(TechVR), co)}
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO), DefaultRunConfig(TechVR))
 	sw.run()
 	for i, w := range ws {
-		ro, ok := plan[i].o.result()
+		ro, ok := cells[i][0].result()
 		if !ok {
 			t.AddRow(w.Name, errCell, errCell, errCell, errCell, errCell)
 			continue
 		}
-		rv, ok := plan[i].v.result()
+		rv, ok := cells[i][1].result()
 		if !ok {
 			t.AddRow(w.Name, d(ro.OffChipDemand), errCell, errCell, errCell, errCell)
 			continue
@@ -519,13 +493,10 @@ func ExpF11Timeliness(opt Options) (*Table, error) {
 	t := &Table{ID: "F11", Title: "Timeliness: first-use location of VR-prefetched lines",
 		Header: []string{"workload", "L1", "L2", "L3", "in-flight (late)"}}
 	sw := opt.newSweep(t)
-	cells := make([]*sweepCell, len(ws))
-	for i, w := range ws {
-		cells[i] = sw.cell(w, DefaultRunConfig(TechVR))
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechVR))
 	sw.run()
 	for i, w := range ws {
-		rv, ok := cells[i].result()
+		rv, ok := cells[i][0].result()
 		if !ok {
 			t.AddRow(w.Name, errCell, errCell, errCell, errCell)
 			continue
@@ -557,24 +528,21 @@ func ExpF12VectorLength(opt Options) (*Table, error) {
 	t := &Table{ID: "F12", Title: "Sensitivity to vector length (h-mean speedup over OoO)",
 		Header: []string{"lanes", "speedup", "MLP"}}
 	sw := opt.newSweep(t)
-	bases := make([]*sweepCell, len(ws))
-	for i, w := range ws {
-		bases[i] = sw.cell(w, DefaultRunConfig(TechOoO))
-	}
+	bases := sw.perWorkload(ws, DefaultRunConfig(TechOoO))
 	points := make([][]*sweepCell, len(vls))
 	for vi, vl := range vls {
 		points[vi] = make([]*sweepCell, len(ws))
 		for i, w := range ws {
 			rc := DefaultRunConfig(TechVR)
 			rc.VR.VectorLength = vl
-			points[vi][i] = sw.cell(w, rc, bases[i])
+			points[vi][i] = sw.cell(w, rc, bases[i][0])
 		}
 	}
 	sw.run()
 	for vi, vl := range vls {
 		var ss, mlps []float64
 		for i := range ws {
-			base, ok := bases[i].result()
+			base, ok := bases[i][0].result()
 			if !ok {
 				continue
 			}
@@ -603,29 +571,22 @@ func ExpF13DelayedTermination(opt Options) (*Table, error) {
 	}
 	t := &Table{ID: "F13", Title: "Delayed termination: commit-hold time and its value",
 		Header: []string{"workload", "held cycles", "speedup w/", "speedup w/o"}}
+	noDelay := DefaultRunConfig(TechVR)
+	noDelay.VR.DelayedTermination = false
 	sw := opt.newSweep(t)
-	type wCells struct{ base, on, off *sweepCell }
-	plan := make([]wCells, len(ws))
-	for i, w := range ws {
-		base := sw.cell(w, DefaultRunConfig(TechOoO))
-		on := sw.cell(w, DefaultRunConfig(TechVR), base)
-		rc := DefaultRunConfig(TechVR)
-		rc.VR.DelayedTermination = false
-		off := sw.cell(w, rc, base)
-		plan[i] = wCells{base: base, on: on, off: off}
-	}
+	cells := sw.perWorkload(ws, DefaultRunConfig(TechOoO), DefaultRunConfig(TechVR), noDelay)
 	sw.run()
 	for i, w := range ws {
-		base, ok := plan[i].base.result()
+		base, ok := cells[i][0].result()
 		if !ok {
 			t.AddRow(w.Name, errCell, errCell, errCell)
 			continue
 		}
 		heldC, withC, withoutC := errCell, errCell, errCell
-		if on, ok := plan[i].on.result(); ok {
+		if on, ok := cells[i][1].result(); ok {
 			heldC, withC = pct(on.HeldFrac), f(Speedup(base, on))
 		}
-		if off, ok := plan[i].off.result(); ok {
+		if off, ok := cells[i][2].result(); ok {
 			withoutC = f(Speedup(base, off))
 		}
 		t.AddRow(w.Name, heldC, withC, withoutC)
