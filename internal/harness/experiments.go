@@ -212,7 +212,8 @@ func (s *sweep) perWorkload(ws []*workloads.Workload, base RunConfig, variants .
 // workload with each variant's speedup over its base — led by the base's
 // own column when withBase is set — and then an h-mean row over each
 // column's surviving speedups. A failed cell renders as ERR, and so does
-// every variant of a failed base, since the sweep skips it. each, when
+// every variant of a failed base, since the sweep skips it, and every
+// h-mean over a column with no survivor. each, when
 // non-nil, receives every surviving speedup by workload and column.
 func speedupRows(t *Table, cells [][]*sweepCell, withBase bool, each func(i, col int, s float64)) {
 	cols := make([][]float64, len(t.Header)-1)
@@ -238,10 +239,9 @@ func speedupRows(t *Table, cells [][]*sweepCell, withBase bool, each func(i, col
 		t.AddRow(row...)
 	}
 	hmean := []string{"h-mean"}
-	for j, xs := range cols {
-		if withBase && j == 0 {
-			// The base column's h-mean is printed as a constant.
-			hmean = append(hmean, "1.00")
+	for _, xs := range cols {
+		if len(xs) == 0 {
+			hmean = append(hmean, errCell) // no survivor to average
 			continue
 		}
 		hmean = append(hmean, f(HarmonicMean(xs)))
