@@ -1,10 +1,6 @@
 package core
 
-import (
-	"vrsim/internal/cpu"
-	"vrsim/internal/isa"
-	"vrsim/internal/mem"
-)
+import "vrsim/internal/cpu"
 
 // PREConfig tunes the Precise Runahead engine.
 type PREConfig struct {
@@ -103,36 +99,13 @@ func (p *PRE) step(c *cpu.Core, now uint64) {
 		p.active = false
 		return
 	}
-	switch {
-	case in.IsBranch():
-		p.w.branchStep(in)
-	case in.IsLoad():
-		a, b, ok := p.w.srcOK(in)
-		if !ok {
-			p.Stats.LoadsPoisoned++
-			p.w.valid[in.Dst] = false
-			p.w.pc++
-			return
-		}
-		addr := isa.EffAddr(in, a, b)
-		res := c.Hier().Access(now, p.w.pc, addr, false, mem.ClassRunahead, mem.SrcRunahead)
+	switch p.w.step(c, in, now) {
+	case stepLoad:
 		p.Stats.LoadsIssued++
-		if res.Level == mem.AtL1 {
-			p.w.regs[in.Dst] = c.Data().Load(addr)
-			p.w.valid[in.Dst] = true
-		} else {
-			p.w.valid[in.Dst] = false // INV: data not back in time
-		}
-		p.w.pc++
-	case in.IsStore():
-		// Prefetch the store target (no transient memory writes).
-		if a, b, ok := p.w.srcOK(in); ok {
-			addr := isa.EffAddr(in, a, b)
-			c.Hier().Access(now, p.w.pc, addr, false, mem.ClassRunahead, mem.SrcRunahead)
-			p.Stats.StoresTouched++
-		}
-		p.w.pc++
-	default:
-		p.w.aluStep(in)
+	case stepPoisoned:
+		p.Stats.LoadsPoisoned++
+	case stepStore:
+		p.Stats.StoresTouched++
+	case stepNone:
 	}
 }

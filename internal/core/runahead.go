@@ -1,10 +1,6 @@
 package core
 
-import (
-	"vrsim/internal/cpu"
-	"vrsim/internal/isa"
-	"vrsim/internal/mem"
-)
+import "vrsim/internal/cpu"
 
 // ClassicRA models original runahead execution (Dundas & Mudge ICS'97,
 // Mutlu et al. HPCA'03): on a window stall with an off-chip load at the
@@ -128,32 +124,7 @@ func (p *ClassicRA) step(c *cpu.Core, now uint64) {
 		p.holdUntil = now + p.cfg.FlushPenaltyCycles
 		return
 	}
-	switch {
-	case in.IsBranch():
-		p.w.branchStep(in)
-	case in.IsLoad():
-		a, b, ok := p.w.srcOK(in)
-		if !ok {
-			p.w.valid[in.Dst] = false
-			p.w.pc++
-			return
-		}
-		addr := isa.EffAddr(in, a, b)
-		res := c.Hier().Access(now, p.w.pc, addr, false, mem.ClassRunahead, mem.SrcRunahead)
+	if p.w.step(c, in, now) == stepLoad {
 		p.Stats.LoadsIssued++
-		if res.Level == mem.AtL1 {
-			p.w.regs[in.Dst] = c.Data().Load(addr)
-			p.w.valid[in.Dst] = true
-		} else {
-			p.w.valid[in.Dst] = false
-		}
-		p.w.pc++
-	case in.IsStore():
-		if a, b, ok := p.w.srcOK(in); ok {
-			c.Hier().Access(now, p.w.pc, isa.EffAddr(in, a, b), false, mem.ClassRunahead, mem.SrcRunahead)
-		}
-		p.w.pc++
-	default:
-		p.w.aluStep(in)
 	}
 }

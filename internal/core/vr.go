@@ -368,34 +368,8 @@ func (v *VR) alreadyCovered(base uint64) bool {
 // scalarStep is the PRE-style scalar transient execution path.
 func (v *VR) scalarStep(c *cpu.Core, in isa.Instr) {
 	v.Stats.ScalarInstrs++
-	switch {
-	case in.IsBranch():
-		v.w.branchStep(in)
-	case in.IsLoad():
-		a, b, ok := v.w.srcOK(in)
-		if !ok {
-			v.w.valid[in.Dst] = false
-			v.w.pc++
-			return
-		}
-		addr := isa.EffAddr(in, a, b)
-		res := c.Hier().Access(v.now, v.w.pc, addr, false, mem.ClassRunahead, mem.SrcRunahead)
+	if v.w.step(c, in, v.now) == stepLoad {
 		v.Stats.ScalarLoads++
-		if res.Level == mem.AtL1 {
-			v.w.regs[in.Dst] = c.Data().Load(addr)
-			v.w.valid[in.Dst] = true
-		} else {
-			v.w.valid[in.Dst] = false
-		}
-		v.w.pc++
-	case in.IsStore():
-		if a, b, ok := v.w.srcOK(in); ok {
-			addr := isa.EffAddr(in, a, b)
-			c.Hier().Access(v.now, v.w.pc, addr, false, mem.ClassRunahead, mem.SrcRunahead)
-		}
-		v.w.pc++
-	default:
-		v.w.aluStep(in)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"vrsim/internal/branch"
 	"vrsim/internal/cpu"
 	"vrsim/internal/isa"
+	"vrsim/internal/mem"
 )
 
 // regSpace sizes per-register arrays to the full uint8 index space of
@@ -77,9 +78,8 @@ func (w *walker) srcOK(in isa.Instr) (a, b uint64, ok bool) {
 }
 
 // branchStep follows a branch: the actual direction when operands are
-// valid, the predicted direction otherwise. It advances pc and hist and
-// returns the direction followed.
-func (w *walker) branchStep(in isa.Instr) bool {
+// valid, the predicted direction otherwise. It advances pc and hist.
+func (w *walker) branchStep(in isa.Instr) {
 	var taken bool
 	if in.Op == isa.Jmp {
 		taken = true
@@ -99,7 +99,6 @@ func (w *walker) branchStep(in isa.Instr) bool {
 	} else {
 		w.pc++
 	}
-	return taken
 }
 
 // aluStep executes a non-memory, non-branch instruction in the transient
@@ -115,4 +114,53 @@ func (w *walker) aluStep(in isa.Instr) {
 		}
 	}
 	w.pc++
+}
+
+// stepResult is what walker.step did with one instruction, for the
+// engines' own counters.
+type stepResult uint8
+
+const (
+	stepNone     stepResult = iota // a branch, an ALU op, or a store with an INV address
+	stepLoad                       // a load issued to the hierarchy
+	stepPoisoned                   // a load skipped for an INV address; its Dst is poisoned
+	stepStore                      // a store whose target line was prefetched
+)
+
+// step pre-executes one instruction in the transient context at cycle now
+// under the INV discipline: a load issues as a runahead access and yields
+// a value only on an L1 hit, and a store prefetches its line (runahead
+// makes no transient memory writes). It advances pc.
+func (w *walker) step(c *cpu.Core, in isa.Instr, now uint64) stepResult {
+	res := stepNone
+	switch {
+	case in.IsBranch():
+		w.branchStep(in)
+		return stepNone
+	case in.IsLoad():
+		a, b, ok := w.srcOK(in)
+		if !ok {
+			w.valid[in.Dst] = false
+			res = stepPoisoned
+			break
+		}
+		addr := isa.EffAddr(in, a, b)
+		if c.Hier().Access(now, w.pc, addr, false, mem.ClassRunahead, mem.SrcRunahead).Level == mem.AtL1 {
+			w.regs[in.Dst] = c.Data().Load(addr)
+			w.valid[in.Dst] = true
+		} else {
+			w.valid[in.Dst] = false // INV: data not back in time
+		}
+		res = stepLoad
+	case in.IsStore():
+		if a, b, ok := w.srcOK(in); ok {
+			c.Hier().Access(now, w.pc, isa.EffAddr(in, a, b), false, mem.ClassRunahead, mem.SrcRunahead)
+			res = stepStore
+		}
+	default:
+		w.aluStep(in)
+		return stepNone
+	}
+	w.pc++
+	return res
 }
