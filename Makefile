@@ -24,10 +24,12 @@ chaos:
 	./scripts/chaos_smoke.sh
 
 # The full verification gate: formatting, static checks, a clean build,
-# the test suite under the race detector, and the interrupt-and-resume
-# chaos smoke. The formatting step fails if gofmt would change any
-# tracked Go file outside testdata/, whose analyzer inputs keep their
-# hand-aligned `// want` comments.
+# the test suite under the race detector, vet and tests of the benchmark
+# module (bench/ builds against the harness API from outside, so a rename
+# there fails here rather than in a benchmark run), and the
+# interrupt-and-resume chaos smoke. The formatting step fails if gofmt
+# would change any tracked Go file outside testdata/, whose analyzer
+# inputs keep their hand-aligned `// want` comments.
 check:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go' ':!:*/testdata/*')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -35,6 +37,7 @@ check:
 	$(GO) run ./cmd/vrlint ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	./scripts/chaos_smoke.sh
 
 bench:
