@@ -345,18 +345,15 @@ func ExpF2ROBSweep(opt Options) (*Table, error) {
 	rc := DefaultRunConfig(TechOoO)
 	rc.CPU = rc.CPU.WithROB(350)
 	bases := sw.perWorkload(ws, rc)
-	type point struct{ o, v *sweepCell }
-	points := make([][]point, len(sizes))
+	points := make([][][2]*sweepCell, len(sizes)) // OoO and VR per workload
 	for si, size := range sizes {
-		points[si] = make([]point, len(ws))
 		for i, w := range ws {
 			rcO := DefaultRunConfig(TechOoO)
 			rcO.CPU = rcO.CPU.WithROB(size)
 			co := sw.cell(w, rcO, bases[i][0])
 			rcV := DefaultRunConfig(TechVR)
 			rcV.CPU = rcV.CPU.WithROB(size)
-			cv := sw.cell(w, rcV, bases[i][0], co)
-			points[si][i] = point{o: co, v: cv}
+			points[si] = append(points[si], [2]*sweepCell{co, sw.cell(w, rcV, bases[i][0], co)})
 		}
 	}
 	sw.run()
@@ -367,11 +364,11 @@ func ExpF2ROBSweep(opt Options) (*Table, error) {
 			if !ok {
 				continue
 			}
-			ro, ok := points[si][i].o.result()
+			ro, ok := points[si][i][0].result()
 			if !ok {
 				continue
 			}
-			rv, ok := points[si][i].v.result()
+			rv, ok := points[si][i][1].result()
 			if !ok {
 				continue
 			}
