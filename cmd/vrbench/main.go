@@ -11,7 +11,9 @@
 //	vrbench -exp all -checkpoint run.journal          # crash-safe campaign
 //	vrbench -exp all -checkpoint run.journal -resume  # continue it
 //
-// Experiment ids follow EXPERIMENTS.md: t1 t2 f2 f7 f8 f9 f10 f11 f12 f13 t3.
+// Experiment ids follow EXPERIMENTS.md: the paper's t1 t2 f2 f7 f8 f9 f10
+// f11 f12 f13 t3, which -exp all runs in that order, and the ablations
+// a1 … a9, which -exp ablations runs. harness.Experiments lists them.
 //
 // Experiment cells (one workload × technique × configuration simulation
 // each) execute on a bounded worker pool: -parallel N caps the concurrency

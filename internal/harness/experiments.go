@@ -211,10 +211,10 @@ func (s *sweep) perWorkload(ws []*workloads.Workload, base RunConfig, variants .
 // speedupRows renders perWorkload cells as a speedup matrix: one row per
 // workload with each variant's speedup over its base — led by the base's
 // own column when withBase is set — and then an h-mean row over each
-// column's surviving speedups. A failed cell renders as ERR, and so does
-// every variant of a failed base, since the sweep skips it, and every
-// h-mean over a column with no survivor. each, when
-// non-nil, receives every surviving speedup by workload and column.
+// column's surviving speedups. A failed cell renders as ERR, as does every
+// variant of a failed base (the sweep skips it) and the h-mean of a column
+// with no survivor. each, when non-nil, receives every surviving speedup
+// by workload and column.
 func speedupRows(t *Table, cells [][]*sweepCell, withBase bool, each func(i, col int, s float64)) {
 	cols := make([][]float64, len(t.Header)-1)
 	for i, wc := range cells {
