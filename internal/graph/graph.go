@@ -9,8 +9,10 @@ package graph
 
 import (
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // CSR is a directed graph in compressed sparse row form.
@@ -47,15 +49,17 @@ func (g *CSR) MaxDegree() int {
 	return m
 }
 
-// rng is a splitmix64-seeded xorshift generator: deterministic, cheap,
-// independent of math/rand for reproducibility across Go versions.
+// rng is a xorshift generator: deterministic, cheap, independent of
+// math/rand for reproducibility across Go versions.
 type rng struct{ s uint64 }
 
-func newRNG(seed uint64) *rng {
+// seedState returns the state a seed's stream starts from: the seed
+// itself, or a fixed nonzero state for 0, which xorshift never leaves.
+func seedState(seed uint64) uint64 {
 	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
+		return 0x9e3779b97f4a7c15
 	}
-	return &rng{s: seed}
+	return seed
 }
 
 func (r *rng) next() uint64 {
@@ -74,48 +78,144 @@ func xorshift(s uint64) uint64 {
 // intn returns a value in [0, n).
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
+// jump advances a generator state by k steps at once. A step is linear
+// over GF(2): it maps the state through a fixed 64×64 bit matrix whose
+// column j is the step applied to bit j alone. k steps apply that matrix's
+// k-th power, built by repeated squaring, so a stream can be split into
+// chunks that start anywhere in it.
+func jump(s, k uint64) uint64 {
+	var t bitMatrix
+	for j := range t {
+		t[j] = xorshift(1 << j)
+	}
+	for ; k > 0; k >>= 1 {
+		if k&1 != 0 {
+			s = t.apply(s)
+		}
+		t = t.times(&t)
+	}
+	return s
+}
+
+// bitMatrix is a 64×64 matrix over GF(2), stored by column: column j is
+// the image of bit j.
+type bitMatrix [64]uint64
+
+// apply returns the product of m and the bit vector v.
+func (m *bitMatrix) apply(v uint64) uint64 {
+	var r uint64
+	for ; v != 0; v &= v - 1 {
+		r ^= m[bits.TrailingZeros64(v)]
+	}
+	return r
+}
+
+// times returns the product m·o.
+func (m *bitMatrix) times(o *bitMatrix) bitMatrix {
+	var r bitMatrix
+	for j, c := range o {
+		r[j] = m.apply(c)
+	}
+	return r
+}
+
+// fanOut runs body(c) for every c below p, each on its own goroutine,
+// and returns when all have returned.
+func fanOut(p int, body func(c int)) {
+	var wg sync.WaitGroup
+	wg.Add(p)
+	for c := range p {
+		go func() {
+			defer wg.Done()
+			body(c)
+		}()
+	}
+	wg.Wait()
+}
+
+// chunks splits [0, n) into GOMAXPROCS contiguous ranges and runs body on
+// each on its own goroutine. The ranges move with GOMAXPROCS, so what
+// body computes for an index must not depend on where its range starts.
+func chunks(n int, body func(lo, hi int)) {
+	p := runtime.GOMAXPROCS(0)
+	fanOut(p, func(c int) { body(n*c/p, n*(c+1)/p) })
+}
+
 // radixMin is the shortest adjacency list fromEdges sorts by radix;
 // slices.Sort is faster below it.
 const radixMin = 257
 
 // fromEdges builds a CSR from an edge list, sorting adjacency lists and
 // keeping duplicate edges (as Graph500 generators do). Every dst value
-// must be below n.
-func fromEdges(n int, src, dst []uint64, weighted bool, rnd *rng) *CSR {
+// must be below n. Weights, if wanted, are the generator's draws after
+// state s. Each of GOMAXPROCS goroutines owns a contiguous vertex range:
+// it counts, scatters and sorts that range's lists, scanning the whole
+// edge list for the edges leaving it. A list's entries are scattered in
+// edge order, as one goroutine would, and sorted afterwards anyway.
+func fromEdges(n int, src, dst []uint64, weighted bool, s uint64) *CSR {
 	rowPtr := make([]uint64, n+1)
-	for _, u := range src {
-		rowPtr[u+1]++
-	}
-	for i := 1; i <= n; i++ {
-		rowPtr[i] += rowPtr[i-1]
-	}
-	// Scatter with rowPtr[u] as u's cursor. Each cursor ends at its
-	// list's end, the next list's start, so shifting the array up one
-	// slot restores the row pointers.
 	col := make([]uint64, len(dst))
-	for i, u := range src {
-		col[rowPtr[u]] = dst[i]
-		rowPtr[u]++
-	}
-	copy(rowPtr[1:], rowPtr[:n])
-	rowPtr[0] = 0
 	width := bits.Len64(uint64(n - 1)) // bits in the largest vertex id
-	var tmp []uint64
-	for u := 0; u < n; u++ {
-		// slices.Sort, not sort.Slice: the latter allocates a swapper and
-		// closure per call, and this loop runs once per vertex.
-		if adj := col[rowPtr[u]:rowPtr[u+1]]; len(adj) < radixMin {
-			slices.Sort(adj)
-		} else {
-			tmp = radixSort(adj, tmp, width)
+	p := runtime.GOMAXPROCS(0)
+	bounds := func(c int) (lo, hi uint64) { return uint64(n * c / p), uint64(n * (c + 1) / p) }
+	// starts[c] is range c's first slot in col, once the counts are summed.
+	starts := make([]uint64, p+1)
+	fanOut(p, func(c int) {
+		lo, hi := bounds(c)
+		for _, u := range src {
+			if u-lo < hi-lo {
+				rowPtr[u]++
+			}
 		}
+		var total uint64
+		for _, d := range rowPtr[lo:hi] {
+			total += d
+		}
+		starts[c+1] = total
+	})
+	for c := range p {
+		starts[c+1] += starts[c]
 	}
+	fanOut(p, func(c int) {
+		lo, hi := bounds(c)
+		// Scatter with rowPtr[u] as u's cursor, starting at its list's
+		// start. Each cursor ends at its list's end.
+		for u, next := lo, starts[c]; u < hi; u++ {
+			rowPtr[u], next = next, next+rowPtr[u]
+		}
+		for i, u := range src {
+			if u-lo < hi-lo {
+				col[rowPtr[u]] = dst[i]
+				rowPtr[u]++
+			}
+		}
+		// Sort each list, and move each row pointer back to its start,
+		// the previous list's end.
+		start := starts[c]
+		var tmp []uint64
+		for u := lo; u < hi; u++ {
+			end := rowPtr[u]
+			// slices.Sort, not sort.Slice: the latter allocates a swapper
+			// and closure per call, and this loop runs once per vertex.
+			if adj := col[start:end]; len(adj) < radixMin {
+				slices.Sort(adj)
+			} else {
+				tmp = radixSort(adj, tmp, width)
+			}
+			rowPtr[u], start = start, end
+		}
+	})
+	rowPtr[n] = uint64(len(col))
 	g := &CSR{RowPtr: rowPtr, ColIdx: col}
 	if weighted {
 		g.Weights = make([]uint64, len(col))
-		for i := range g.Weights {
-			g.Weights[i] = 1 + rnd.next()%255
-		}
+		// Weight i is draw i+1 after s.
+		chunks(len(col), func(lo, hi int) {
+			r := rng{jump(s, uint64(lo))}
+			for i := lo; i < hi; i++ {
+				g.Weights[i] = 1 + r.next()%255
+			}
+		})
 	}
 	return g
 }
@@ -154,15 +254,19 @@ func radixSort(a, tmp []uint64, width int) []uint64 {
 // property that starves Vector Runahead of long inner loops in the paper's
 // UR results.
 func Uniform(n, avgDegree int, seed uint64, weighted bool) *CSR {
-	r := newRNG(seed)
+	s := seedState(seed)
 	m := n * avgDegree
 	src := make([]uint64, m)
 	dst := make([]uint64, m)
-	for i := 0; i < m; i++ {
-		src[i] = uint64(r.intn(n))
-		dst[i] = uint64(r.intn(n))
-	}
-	return fromEdges(n, src, dst, weighted, r)
+	// Edge i takes draws 2i+1 and 2i+2.
+	chunks(m, func(lo, hi int) {
+		r := rng{jump(s, 2*uint64(lo))}
+		for i := lo; i < hi; i++ {
+			src[i] = uint64(r.intn(n))
+			dst[i] = uint64(r.intn(n))
+		}
+	})
+	return fromEdges(n, src, dst, weighted, jump(s, 2*uint64(m)))
 }
 
 // Kronecker generates a KR-style power-law graph with 2^scale nodes and
@@ -170,7 +274,7 @@ func Uniform(n, avgDegree int, seed uint64, weighted bool) *CSR {
 // (A,B,C) = (0.57, 0.19, 0.19). A few vertices collect enormous adjacency
 // lists — the long inner loops VR vectorizes profitably.
 func Kronecker(scale, edgeFactor int, seed uint64, weighted bool) *CSR {
-	r := newRNG(seed)
+	s0 := seedState(seed)
 	n := 1 << scale
 	m := n * edgeFactor
 	src := make([]uint64, m)
@@ -192,21 +296,23 @@ func Kronecker(scale, edgeFactor int, seed uint64, weighted bool) *CSR {
 			quadrant[p] = 3
 		}
 	}
-	s := r.s // a local state stays in a register through the draws
-	for i := 0; i < m; i++ {
-		var u, v uint64
-		for bit := 0; bit < scale; bit++ {
-			s = xorshift(s)
-			q := quadrant[s%100]
-			u |= uint64(q>>1) << bit
-			v |= uint64(q&1) << bit
+	// Edge i takes draws scale·i+1 to scale·(i+1).
+	chunks(m, func(lo, hi int) {
+		s := jump(s0, uint64(scale*lo)) // a local state stays in a register through the draws
+		for i := lo; i < hi; i++ {
+			var u, v uint64
+			for bit := 0; bit < scale; bit++ {
+				s = xorshift(s)
+				q := quadrant[s%100]
+				u |= uint64(q>>1) << bit
+				v |= uint64(q&1) << bit
+			}
+			// Permute vertex labels so the heavy vertices are scattered.
+			src[i] = scramble(u, uint64(n))
+			dst[i] = scramble(v, uint64(n))
 		}
-		// Permute vertex labels so the heavy vertices are scattered.
-		src[i] = scramble(u, uint64(n))
-		dst[i] = scramble(v, uint64(n))
-	}
-	r.s = s
-	return fromEdges(n, src, dst, weighted, r)
+	})
+	return fromEdges(n, src, dst, weighted, jump(s0, uint64(scale*m)))
 }
 
 // scramble applies a fixed odd-multiplier permutation modulo a power of two.

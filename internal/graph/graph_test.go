@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -151,24 +152,66 @@ func csrDigest(g *CSR) string {
 
 // TestGeneratorDigests pins the generators' exact output: every memory
 // image a graph workload builds derives from these bytes, so a rewrite of
-// a generator must reproduce them bit for bit. The first graph has 97
-// adjacency lists longer than 256 entries, the longest 2,818.
+// a generator must reproduce them bit for bit. The generators split their
+// draws into one chunk per goroutine, so the chunk boundaries move with
+// GOMAXPROCS; the digests must not. The first graph has 97 adjacency
+// lists longer than 256 entries, the longest 2,818.
 func TestGeneratorDigests(t *testing.T) {
-	kr := Kronecker(14, 8, 11, true)
-	if kr.MaxDegree() < radixMin {
-		t.Errorf("max degree %d: no adjacency list takes the radix sort", kr.MaxDegree())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		kr := Kronecker(14, 8, 11, true)
+		if kr.MaxDegree() < radixMin {
+			t.Errorf("max degree %d: no adjacency list takes the radix sort", kr.MaxDegree())
+		}
+		for _, c := range []struct {
+			name string
+			g    *CSR
+			want string
+		}{
+			{"Kronecker(14,8,11,true)", kr, "de3869ea41f9a577007e4ca9842a040d17a82696abe7558bdbd995a2f11035e8"},
+			{"Kronecker(10,8,33,false)", Kronecker(10, 8, 33, false), "a0b959fbefa8ed9903c41ead0da048c06eea3df022d7c8ff935d3bbc92bfc998"},
+			{"Uniform(1<<14,4,55,true)", Uniform(1<<14, 4, 55, true), "b4c57d0c4e01a90fdad1405efc995e4db7a7dcb652ba37da4de463a6374e5c92"},
+		} {
+			if got := csrDigest(c.g); got != c.want {
+				t.Errorf("GOMAXPROCS %d: %s: digest %s, want %s", procs, c.name, got, c.want)
+			}
+		}
 	}
-	for _, c := range []struct {
-		name string
-		g    *CSR
-		want string
-	}{
-		{"Kronecker(14,8,11,true)", kr, "de3869ea41f9a577007e4ca9842a040d17a82696abe7558bdbd995a2f11035e8"},
-		{"Kronecker(10,8,33,false)", Kronecker(10, 8, 33, false), "a0b959fbefa8ed9903c41ead0da048c06eea3df022d7c8ff935d3bbc92bfc998"},
-		{"Uniform(1<<14,4,55,true)", Uniform(1<<14, 4, 55, true), "b4c57d0c4e01a90fdad1405efc995e4db7a7dcb652ba37da4de463a6374e5c92"},
-	} {
-		if got := csrDigest(c.g); got != c.want {
-			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+}
+
+// TestJumpMatchesSteps checks jump against single xorshift steps, walking
+// one stream to each checked distance: the edges of the first squarings,
+// a million, and random distances below 2^26. Distances up to 2^40, too
+// far to walk, are checked by splitting them: k steps must be one step
+// after k-1, and j steps after k-j.
+func TestJumpMatchesSteps(t *testing.T) {
+	r := rng{seedState(3)}
+	ks := []uint64{0, 1, 63, 64, 65, 1_000_000}
+	for range 8 {
+		ks = append(ks, r.next()%(1<<26))
+	}
+	slices.Sort(ks)
+	for _, seed := range []uint64{1, 0xdeadbeef, seedState(0)} {
+		s, at := seed, uint64(0)
+		for _, k := range ks {
+			for ; at < k; at++ {
+				s = xorshift(s)
+			}
+			if got := jump(seed, k); got != s {
+				t.Errorf("jump(%#x, %d) = %#x, %d single steps give %#x", seed, k, got, k, s)
+			}
+		}
+		for range 16 {
+			k := 1 + r.next()%(1<<40-1)
+			j := r.next() % k
+			want := jump(seed, k)
+			if got := xorshift(jump(seed, k-1)); got != want {
+				t.Errorf("seed %#x: one step after jump %d = %#x, jump %d = %#x", seed, k-1, got, k, want)
+			}
+			if got := jump(jump(seed, k-j), j); got != want {
+				t.Errorf("seed %#x: jump %d after jump %d = %#x, jump %d = %#x", seed, j, k-j, got, k, want)
+			}
 		}
 	}
 }
@@ -176,7 +219,7 @@ func TestGeneratorDigests(t *testing.T) {
 // TestRadixSortMatchesSort checks radixSort against slices.Sort at widths
 // needing one, two and three byte passes, reusing one scratch buffer.
 func TestRadixSortMatchesSort(t *testing.T) {
-	r := newRNG(9)
+	r := rng{seedState(9)}
 	var tmp []uint64
 	for _, c := range []struct{ n, bits int }{{300, 8}, {2000, 16}, {700, 20}, {5000, 20}} {
 		a := make([]uint64, c.n)
