@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"vrsim/internal/graph"
 	"vrsim/internal/isa"
@@ -59,18 +60,34 @@ func placeCSR(l *layout, g *graph.CSR) (csrBases, func(d *mem.Backing)) {
 // the u-sorted order CSR flattening produces: GAP's frontier- and
 // bucket-driven kernels visit vertices in data-dependent order, so the
 // per-vertex arrays are accessed randomly — the pattern runahead targets.
+// Each array is shuffled on its own goroutine, from the same draws, so
+// the arrays stay parallel.
 func shuffleEdges(seed uint64, arrays ...[]uint64) {
-	if len(arrays) == 0 {
-		return
-	}
-	x := newXorshift(seed)
-	n := len(arrays[0])
-	for i := n - 1; i > 0; i-- {
-		j := int(x.next() % uint64(i+1))
-		for _, a := range arrays {
-			a[i], a[j] = a[j], a[i]
+	shuffles := make([]func(), len(arrays))
+	for k, a := range arrays {
+		shuffles[k] = func() {
+			x := newXorshift(seed)
+			for i := len(a) - 1; i > 0; i-- {
+				j := int(x.next() % uint64(i+1))
+				a[i], a[j] = a[j], a[i]
+			}
 		}
 	}
+	inParallel(shuffles...)
+}
+
+// inParallel runs each function on its own goroutine and returns when
+// all have returned.
+func inParallel(fs ...func()) {
+	var wg sync.WaitGroup
+	wg.Add(len(fs))
+	for _, f := range fs {
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	wg.Wait()
 }
 
 // edgeList flattens g, in CSR order, into parallel source, destination
@@ -87,8 +104,9 @@ func edgeList(g *graph.CSR) (srcs, dsts, wts []uint64) {
 
 // minLabels computes each vertex's converged label under min-label
 // propagation: the minimum vertex id in its (weakly) connected component.
-func minLabels(n int, srcs, dsts []uint64) []uint64 {
-	parent := make([]uint64, n)
+// It reads g's edges in CSR order; the minima do not depend on the order.
+func minLabels(g *graph.CSR) []uint64 {
+	parent := make([]uint64, g.NumNodes())
 	for v := range parent {
 		parent[v] = uint64(v)
 	}
@@ -100,15 +118,17 @@ func minLabels(n int, srcs, dsts []uint64) []uint64 {
 		}
 		return v
 	}
-	for i := range srcs {
-		a, b := find(srcs[i]), find(dsts[i])
-		if a < b {
-			parent[b] = a
-		} else if b < a {
-			parent[a] = b
+	for u := range parent {
+		for _, v := range g.Neighbors(u) {
+			a, b := find(uint64(u)), find(v)
+			if a < b {
+				parent[b] = a
+			} else if b < a {
+				parent[a] = b
+			}
 		}
 	}
-	out := make([]uint64, n)
+	out := make([]uint64, len(parent))
 	for v := range out {
 		out[v] = find(uint64(v))
 	}
@@ -294,14 +314,18 @@ func CC(scale int, kind GraphKind, tag string) *Workload {
 	// Flatten to an edge list (the GAP implementation's SV variant also
 	// iterates edges).
 	srcs, dsts, _ := edgeList(g)
-	shuffleEdges(77, srcs, dsts)
 
 	// Region of interest: the steady state of label propagation. The
 	// image holds converged labels (component minima) with a sprinkling
 	// of perturbed vertices, so sweeps do real-but-biased work — most
 	// edges see settled labels, as in the later iterations the paper's
-	// 500M-instruction ROI samples.
-	initComp := minLabels(n, srcs, dsts)
+	// 500M-instruction ROI samples. The minima come from g, so they are
+	// found while the edge list is shuffled.
+	var initComp []uint64
+	inParallel(
+		func() { shuffleEdges(77, srcs, dsts) },
+		func() { initComp = minLabels(g) },
+	)
 	px := newXorshift(123)
 	for v := 0; v < n; v++ {
 		if px.next()%64 == 0 {
@@ -499,15 +523,21 @@ func SSSP(scale int, kind GraphKind, tag string) *Workload {
 	const inf = uint64(1) << 60
 	const maxSweeps = 6 // bounded relaxation, deterministic
 
-	srcs, dsts, wts := edgeList(g)
-	shuffleEdges(88, srcs, dsts, wts)
-
 	// Region of interest: the steady state of the relaxation. The image
 	// holds fully converged distances with a sprinkling of vertices whose
 	// distance just improved (as when delta-stepping opens a new bucket):
 	// sweeps then do real-but-mostly-failing relaxations with biased
-	// branches, matching the algorithm's dominant phase.
-	initDist := shortestPaths(g, src, inf)
+	// branches, matching the algorithm's dominant phase. The distances
+	// come from g, so they are found while the edge list is flattened and
+	// shuffled.
+	var srcs, dsts, wts, initDist []uint64
+	inParallel(
+		func() {
+			srcs, dsts, wts = edgeList(g)
+			shuffleEdges(88, srcs, dsts, wts)
+		},
+		func() { initDist = shortestPaths(g, src, inf) },
+	)
 	px := newXorshift(5150)
 	for v := 0; v < n; v++ {
 		if initDist[v] != inf && initDist[v] > 1 && px.next()%64 == 0 {

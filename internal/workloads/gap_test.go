@@ -1,6 +1,9 @@
 package workloads
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // bellmanFord relaxes to convergence and returns the distance array: the
 // reference shortestPaths must reproduce.
@@ -52,6 +55,68 @@ func TestShortestPathsMatchBellmanFord(t *testing.T) {
 		}
 		if kind == GraphKron && unreachable == 0 {
 			t.Error("no Kronecker vertex was unreachable: inf entries went unchecked")
+		}
+	}
+}
+
+// shuffleLockstep is the reference shuffleEdges must reproduce: one
+// Fisher–Yates pass drawing each swap once and applying it to every array.
+func shuffleLockstep(seed uint64, arrays ...[]uint64) {
+	x := newXorshift(seed)
+	for i := len(arrays[0]) - 1; i > 0; i-- {
+		j := int(x.next() % uint64(i+1))
+		for _, a := range arrays {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+}
+
+// TestShuffleEdgesMatchesLockstep checks the per-array shuffle against
+// the lockstep reference on the edge lists CC and SSSP shuffle, at scale
+// 12.
+func TestShuffleEdgesMatchesLockstep(t *testing.T) {
+	for _, kind := range []GraphKind{GraphKron, GraphUniform} {
+		srcs, dsts, wts := edgeList(buildGraph(kind, 12, edgeListFactor, true, 55))
+		want := [][]uint64{slices.Clone(srcs), slices.Clone(dsts), slices.Clone(wts)}
+		shuffleLockstep(88, want...)
+		shuffleEdges(88, srcs, dsts, wts)
+		for k, got := range [][]uint64{srcs, dsts, wts} {
+			if !slices.Equal(got, want[k]) {
+				t.Errorf("kind %d: array %d differs from the lockstep shuffle", kind, k)
+			}
+		}
+	}
+}
+
+// TestMinLabelsMatchPropagation checks CC's initial labels against min-
+// label propagation run to convergence over the shuffled edge list, as
+// CC's validator runs it, on the graphs CC builds at scales 8 to 12.
+func TestMinLabelsMatchPropagation(t *testing.T) {
+	for _, kind := range []GraphKind{GraphKron, GraphUniform} {
+		for scale := 8; scale <= 12; scale++ {
+			g := buildGraph(kind, scale, edgeListFactor, false, 22)
+			srcs, dsts, _ := edgeList(g)
+			shuffleEdges(77, srcs, dsts)
+			want := make([]uint64, g.NumNodes())
+			for v := range want {
+				want[v] = uint64(v)
+			}
+			for changed := true; changed; {
+				changed = false
+				for i := range srcs {
+					cu, cv := want[srcs[i]], want[dsts[i]]
+					if cu < cv {
+						want[dsts[i]] = cu
+						changed = true
+					} else if cv < cu {
+						want[srcs[i]] = cv
+						changed = true
+					}
+				}
+			}
+			if got := minLabels(g); !slices.Equal(got, want) {
+				t.Fatalf("kind %d scale %d: minLabels differs from propagation", kind, scale)
+			}
 		}
 	}
 }
