@@ -283,7 +283,10 @@ func ExpT2Graphs(opt Options) (*Table, error) {
 			if r, ok := cells[i][0].result(); ok {
 				mpki = f(r.LLCMPKI)
 			}
-			t.AddRow(k.input, name, d(1<<workloads.DefaultGraphScale), "~"+d(uint64(1<<workloads.DefaultGraphScale)*8), mpki)
+			// The edge count keeps the generators' duplicate edges, so
+			// the graph has somewhat fewer distinct ones.
+			w := ws[i]
+			t.AddRow(k.input, name, d(uint64(w.Nodes)), "~"+d(uint64(w.Edges)), mpki)
 			i++
 		}
 	}

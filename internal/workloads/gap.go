@@ -285,6 +285,8 @@ func bfsWorkload(name string, scale int, kind GraphKind, seed uint64) *Workload 
 	return &Workload{
 		Name: name, Prog: prog, Init: fill, Validate: validate,
 		SuggestedBudget: uint64(g.NumEdges()) * 8,
+		Nodes:           n,
+		Edges:           g.NumEdges(),
 	}
 }
 
@@ -410,6 +412,8 @@ func CC(scale int, kind GraphKind, tag string) *Workload {
 	return &Workload{
 		Name: name, Prog: b.MustBuild(), Init: fill, Validate: validate,
 		SuggestedBudget: uint64(m) * 30,
+		Nodes:           n,
+		Edges:           m,
 	}
 }
 
@@ -506,6 +510,8 @@ func PR(scale int, kind GraphKind, tag string) *Workload {
 	return &Workload{
 		Name: name, Prog: b.MustBuild(), Init: fill, Validate: validate,
 		SuggestedBudget: uint64(g.NumEdges()) * 8,
+		Nodes:           n,
+		Edges:           g.NumEdges(),
 	}
 }
 
@@ -626,6 +632,8 @@ func SSSP(scale int, kind GraphKind, tag string) *Workload {
 	return &Workload{
 		Name: name, Prog: b.MustBuild(), Init: fill, Validate: validate,
 		SuggestedBudget: uint64(m) * 40,
+		Nodes:           n,
+		Edges:           m,
 	}
 }
 
@@ -807,5 +815,7 @@ func BC(scale int, kind GraphKind, tag string) *Workload {
 	return &Workload{
 		Name: name, Prog: b.MustBuild(), Init: fill, Validate: validate,
 		SuggestedBudget: uint64(g.NumEdges()) * 20,
+		Nodes:           n,
+		Edges:           g.NumEdges(),
 	}
 }

@@ -35,6 +35,9 @@ type Workload struct {
 	// SuggestedBudget is an instruction budget that covers the kernel's
 	// steady state at default scale (0 = run to Halt).
 	SuggestedBudget uint64
+	// Nodes and Edges are the vertex and directed-edge counts of a graph
+	// kernel's input; both are 0 for the kernels that run on no graph.
+	Nodes, Edges int
 	// SkipInstrs is the initialization-phase length: the harness runs this
 	// many instructions, resets all statistics (keeping microarchitectural
 	// state), and measures from there — the paper's region-of-interest

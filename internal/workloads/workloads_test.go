@@ -154,3 +154,26 @@ func TestNamesAreWellFormed(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphSizes checks the input sizes the graph kernels report, which
+// T2 prints: the CSR kernels run on csrEdgeFactor edges per vertex, the
+// edge-list kernels (cc, sssp) on edgeListFactor, and the hpc-db kernels
+// on no graph.
+func TestGraphSizes(t *testing.T) {
+	for _, c := range []struct {
+		w            *Workload
+		nodes, edges int
+	}{
+		{BFS(10, GraphKron, "kr"), 1 << 10, csrEdgeFactor << 10},
+		{Graph500(10), 1 << 10, csrEdgeFactor << 10},
+		{PR(10, GraphUniform, "ur"), 1 << 10, csrEdgeFactor << 10},
+		{BC(10, GraphKron, "kr"), 1 << 10, csrEdgeFactor << 10},
+		{CC(9, GraphKron, "kr"), 1 << 9, edgeListFactor << 9},
+		{SSSP(9, GraphUniform, "ur"), 1 << 9, edgeListFactor << 9},
+		{Camel(12, 1000), 0, 0},
+	} {
+		if c.w.Nodes != c.nodes || c.w.Edges != c.edges {
+			t.Errorf("%s: %d nodes and %d edges, want %d and %d", c.w.Name, c.w.Nodes, c.w.Edges, c.nodes, c.edges)
+		}
+	}
+}
