@@ -145,59 +145,99 @@ func chunks(n int, body func(lo, hi int)) {
 // slices.Sort is faster below it.
 const radixMin = 257
 
-// fromEdges builds a CSR from an edge list, sorting adjacency lists and
-// keeping duplicate edges (as Graph500 generators do). Every dst value
-// must be below n. Weights, if wanted, are the generator's draws after
-// state s. Each of GOMAXPROCS goroutines owns a contiguous vertex range:
-// it counts, scatters and sorts that range's lists, scanning the whole
-// edge list for the edges leaving it. A list's entries are scattered in
-// edge order, as one goroutine would, and sorted afterwards anyway.
-func fromEdges(n int, src, dst []uint64, weighted bool, s uint64) *CSR {
+// vertexBits returns the bits in the largest of n vertex ids. An edge
+// list packs each edge into one word, its source's bits above its
+// destination's, so n must be at most 2^32.
+func vertexBits(n int) int {
+	width := bits.Len64(uint64(n - 1))
+	if width > 32 {
+		//vrlint:allow panicfree -- precondition assertion: every generator call builds at most 2^scale vertices at a fixed scale far below 32
+		panic("graph: more than 2^32 vertices")
+	}
+	return width
+}
+
+// fromEdges builds a CSR from a packed edge list (see vertexBits), sorting
+// adjacency lists and keeping duplicate edges (as Graph500 generators do).
+// The lists take the edge list's storage. Weights, if wanted, are the
+// generator's draws after state s.
+//
+// GOMAXPROCS goroutines share three passes, and between them each pass
+// reads every edge once, whatever the goroutine count. Goroutine c takes
+// the c-th chunk of the edge list and the c-th range of vertices.
+//  1. Each counts its chunk's edges by the range of their source.
+//  2. The counts number the slots of a second array range by range, and
+//     chunk by chunk within a range, so a range's edges get the slots its
+//     lists will fill. Each goroutine moves its chunk's edges into their
+//     slots, each source replaced by its offset in its range.
+//  3. Each counts its range's degrees from those edges, scatters their
+//     destinations into lists in the edge list's storage, and sorts each
+//     list. A list's entries arrive in no fixed order, and it is sorted
+//     afterwards anyway.
+func fromEdges(n int, edges []uint64, weighted bool, s uint64) *CSR {
+	width := vertexBits(n)
+	m := len(edges)
 	rowPtr := make([]uint64, n+1)
-	col := make([]uint64, len(dst))
-	width := bits.Len64(uint64(n - 1)) // bits in the largest vertex id
+	byRange := make([]uint64, m)
 	p := runtime.GOMAXPROCS(0)
-	bounds := func(c int) (lo, hi uint64) { return uint64(n * c / p), uint64(n * (c + 1) / p) }
-	// starts[c] is range c's first slot in col, once the counts are summed.
-	starts := make([]uint64, p+1)
+	chunk := func(c int) []uint64 { return edges[m*c/p : m*(c+1)/p] }
+	// Vertex u lies in range r = (u*p)>>width, which starts at firsts[r].
+	pp := uint64(p)
+	firsts := make([]uint64, p+1)
+	for r := range firsts {
+		firsts[r] = min(uint64(n), (uint64(r)<<width+pp-1)/pp)
+	}
+	// slots[c*p+r] counts chunk c's edges leaving range r, and then holds
+	// the next slot for them.
+	slots := make([]uint64, p*p)
 	fanOut(p, func(c int) {
-		lo, hi := bounds(c)
-		for _, u := range src {
-			if u-lo < hi-lo {
-				rowPtr[u]++
-			}
+		count := slots[c*p : (c+1)*p]
+		for _, e := range chunk(c) {
+			count[((e>>width)*pp)>>width]++
 		}
-		var total uint64
-		for _, d := range rowPtr[lo:hi] {
-			total += d
-		}
-		starts[c+1] = total
 	})
-	for c := range p {
-		starts[c+1] += starts[c]
+	// starts[r] is range r's first slot.
+	starts := make([]uint64, p+1)
+	for r := range p {
+		starts[r+1] = starts[r]
+		for c := range p {
+			k := c*p + r
+			slots[k], starts[r+1] = starts[r+1], starts[r+1]+slots[k]
+		}
 	}
 	fanOut(p, func(c int) {
-		lo, hi := bounds(c)
+		next := slots[c*p : (c+1)*p]
+		for _, e := range chunk(c) {
+			r := ((e >> width) * pp) >> width
+			byRange[next[r]] = e - firsts[r]<<width
+			next[r]++
+		}
+	})
+	fanOut(p, func(r int) {
+		lo, hi := firsts[r], firsts[r+1]
+		own := byRange[starts[r]:starts[r+1]]
+		for _, e := range own {
+			rowPtr[lo+e>>width]++
+		}
 		// Scatter with rowPtr[u] as u's cursor, starting at its list's
 		// start. Each cursor ends at its list's end.
-		for u, next := lo, starts[c]; u < hi; u++ {
+		for u, next := lo, starts[r]; u < hi; u++ {
 			rowPtr[u], next = next, next+rowPtr[u]
 		}
-		for i, u := range src {
-			if u-lo < hi-lo {
-				col[rowPtr[u]] = dst[i]
-				rowPtr[u]++
-			}
+		for _, e := range own {
+			u := lo + e>>width
+			edges[rowPtr[u]] = e & (1<<width - 1)
+			rowPtr[u]++
 		}
 		// Sort each list, and move each row pointer back to its start,
 		// the previous list's end.
-		start := starts[c]
+		start := starts[r]
 		var tmp []uint64
 		for u := lo; u < hi; u++ {
 			end := rowPtr[u]
 			// slices.Sort, not sort.Slice: the latter allocates a swapper
 			// and closure per call, and this loop runs once per vertex.
-			if adj := col[start:end]; len(adj) < radixMin {
+			if adj := edges[start:end]; len(adj) < radixMin {
 				slices.Sort(adj)
 			} else {
 				tmp = radixSort(adj, tmp, width)
@@ -205,12 +245,12 @@ func fromEdges(n int, src, dst []uint64, weighted bool, s uint64) *CSR {
 			rowPtr[u], start = start, end
 		}
 	})
-	rowPtr[n] = uint64(len(col))
-	g := &CSR{RowPtr: rowPtr, ColIdx: col}
+	rowPtr[n] = uint64(m)
+	g := &CSR{RowPtr: rowPtr, ColIdx: edges}
 	if weighted {
-		g.Weights = make([]uint64, len(col))
+		g.Weights = make([]uint64, m)
 		// Weight i is draw i+1 after s.
-		chunks(len(col), func(lo, hi int) {
+		chunks(m, func(lo, hi int) {
 			r := rng{jump(s, uint64(lo))}
 			for i := lo; i < hi; i++ {
 				g.Weights[i] = 1 + r.next()%255
@@ -256,17 +296,17 @@ func radixSort(a, tmp []uint64, width int) []uint64 {
 func Uniform(n, avgDegree int, seed uint64, weighted bool) *CSR {
 	s := seedState(seed)
 	m := n * avgDegree
-	src := make([]uint64, m)
-	dst := make([]uint64, m)
-	// Edge i takes draws 2i+1 and 2i+2.
+	width := vertexBits(n)
+	edges := make([]uint64, m)
+	// Edge i takes draws 2i+1 (its source) and 2i+2 (its destination).
 	chunks(m, func(lo, hi int) {
 		r := rng{jump(s, 2*uint64(lo))}
 		for i := lo; i < hi; i++ {
-			src[i] = uint64(r.intn(n))
-			dst[i] = uint64(r.intn(n))
+			u := uint64(r.intn(n))
+			edges[i] = u<<width | uint64(r.intn(n))
 		}
 	})
-	return fromEdges(n, src, dst, weighted, jump(s, 2*uint64(m)))
+	return fromEdges(n, edges, weighted, jump(s, 2*uint64(m)))
 }
 
 // Kronecker generates a KR-style power-law graph with 2^scale nodes and
@@ -277,8 +317,8 @@ func Kronecker(scale, edgeFactor int, seed uint64, weighted bool) *CSR {
 	s0 := seedState(seed)
 	n := 1 << scale
 	m := n * edgeFactor
-	src := make([]uint64, m)
-	dst := make([]uint64, m)
+	width := vertexBits(n)
+	edges := make([]uint64, m)
 	const a, b, c = 57, 19, 19 // percent; d = 5
 	// quadrant maps a draw in [0, 100) to its RMAT quadrant: bit 1 sets
 	// u's bit, bit 0 sets v's. The lookup replaces a three-way branch on
@@ -308,11 +348,10 @@ func Kronecker(scale, edgeFactor int, seed uint64, weighted bool) *CSR {
 				v |= uint64(q&1) << bit
 			}
 			// Permute vertex labels so the heavy vertices are scattered.
-			src[i] = scramble(u, uint64(n))
-			dst[i] = scramble(v, uint64(n))
+			edges[i] = scramble(u, uint64(n))<<width | scramble(v, uint64(n))
 		}
 	})
-	return fromEdges(n, src, dst, weighted, jump(s0, uint64(scale*m)))
+	return fromEdges(n, edges, weighted, jump(s0, uint64(scale*m)))
 }
 
 // scramble applies a fixed odd-multiplier permutation modulo a power of two.
