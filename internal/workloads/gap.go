@@ -3,7 +3,6 @@ package workloads
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"vrsim/internal/graph"
 	"vrsim/internal/isa"
@@ -60,34 +59,18 @@ func placeCSR(l *layout, g *graph.CSR) (csrBases, func(d *mem.Backing)) {
 // the u-sorted order CSR flattening produces: GAP's frontier- and
 // bucket-driven kernels visit vertices in data-dependent order, so the
 // per-vertex arrays are accessed randomly — the pattern runahead targets.
-// Each array is shuffled on its own goroutine, from the same draws, so
-// the arrays stay parallel.
 func shuffleEdges(seed uint64, arrays ...[]uint64) {
-	shuffles := make([]func(), len(arrays))
-	for k, a := range arrays {
-		shuffles[k] = func() {
-			x := newXorshift(seed)
-			for i := len(a) - 1; i > 0; i-- {
-				j := int(x.next() % uint64(i+1))
-				a[i], a[j] = a[j], a[i]
-			}
+	if len(arrays) == 0 {
+		return
+	}
+	x := newXorshift(seed)
+	n := len(arrays[0])
+	for i := n - 1; i > 0; i-- {
+		j := int(x.next() % uint64(i+1))
+		for _, a := range arrays {
+			a[i], a[j] = a[j], a[i]
 		}
 	}
-	inParallel(shuffles...)
-}
-
-// inParallel runs each function on its own goroutine and returns when
-// all have returned.
-func inParallel(fs ...func()) {
-	var wg sync.WaitGroup
-	wg.Add(len(fs))
-	for _, f := range fs {
-		go func() {
-			defer wg.Done()
-			f()
-		}()
-	}
-	wg.Wait()
 }
 
 // edgeList flattens g, in CSR order, into parallel source, destination
@@ -321,13 +304,12 @@ func CC(scale int, kind GraphKind, tag string) *Workload {
 	// image holds converged labels (component minima) with a sprinkling
 	// of perturbed vertices, so sweeps do real-but-biased work — most
 	// edges see settled labels, as in the later iterations the paper's
-	// 500M-instruction ROI samples. The minima come from g, so they are
-	// found while the edge list is shuffled.
-	var initComp []uint64
-	inParallel(
-		func() { shuffleEdges(77, srcs, dsts) },
-		func() { initComp = minLabels(g) },
-	)
+	// 500M-instruction ROI samples. The minima come from g, so another
+	// goroutine finds them while the edge list is shuffled.
+	labels := make(chan []uint64, 1)
+	go func() { labels <- minLabels(g) }()
+	shuffleEdges(77, srcs, dsts)
+	initComp := <-labels
 	px := newXorshift(123)
 	for v := 0; v < n; v++ {
 		if px.next()%64 == 0 {
@@ -534,16 +516,13 @@ func SSSP(scale int, kind GraphKind, tag string) *Workload {
 	// distance just improved (as when delta-stepping opens a new bucket):
 	// sweeps then do real-but-mostly-failing relaxations with biased
 	// branches, matching the algorithm's dominant phase. The distances
-	// come from g, so they are found while the edge list is flattened and
-	// shuffled.
-	var srcs, dsts, wts, initDist []uint64
-	inParallel(
-		func() {
-			srcs, dsts, wts = edgeList(g)
-			shuffleEdges(88, srcs, dsts, wts)
-		},
-		func() { initDist = shortestPaths(g, src, inf) },
-	)
+	// come from g, so another goroutine finds them while the edge list is
+	// flattened and shuffled.
+	dists := make(chan []uint64, 1)
+	go func() { dists <- shortestPaths(g, src, inf) }()
+	srcs, dsts, wts := edgeList(g)
+	shuffleEdges(88, srcs, dsts, wts)
+	initDist := <-dists
 	px := newXorshift(5150)
 	for v := 0; v < n; v++ {
 		if initDist[v] != inf && initDist[v] > 1 && px.next()%64 == 0 {

@@ -59,35 +59,6 @@ func TestShortestPathsMatchBellmanFord(t *testing.T) {
 	}
 }
 
-// shuffleLockstep is the reference shuffleEdges must reproduce: one
-// Fisher–Yates pass drawing each swap once and applying it to every array.
-func shuffleLockstep(seed uint64, arrays ...[]uint64) {
-	x := newXorshift(seed)
-	for i := len(arrays[0]) - 1; i > 0; i-- {
-		j := int(x.next() % uint64(i+1))
-		for _, a := range arrays {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-}
-
-// TestShuffleEdgesMatchesLockstep checks the per-array shuffle against
-// the lockstep reference on the edge lists CC and SSSP shuffle, at scale
-// 12.
-func TestShuffleEdgesMatchesLockstep(t *testing.T) {
-	for _, kind := range []GraphKind{GraphKron, GraphUniform} {
-		srcs, dsts, wts := edgeList(buildGraph(kind, 12, edgeListFactor, true, 55))
-		want := [][]uint64{slices.Clone(srcs), slices.Clone(dsts), slices.Clone(wts)}
-		shuffleLockstep(88, want...)
-		shuffleEdges(88, srcs, dsts, wts)
-		for k, got := range [][]uint64{srcs, dsts, wts} {
-			if !slices.Equal(got, want[k]) {
-				t.Errorf("kind %d: array %d differs from the lockstep shuffle", kind, k)
-			}
-		}
-	}
-}
-
 // TestMinLabelsMatchPropagation checks CC's initial labels against min-
 // label propagation run to convergence over the shuffled edge list, as
 // CC's validator runs it, on the graphs CC builds at scales 8 to 12.
