@@ -10,6 +10,11 @@
 // bandwidth — through the same Hierarchy the main thread uses.
 package mem
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // LineSize is the cache line size in bytes.
 const LineSize = 64
 
@@ -34,7 +39,8 @@ type page = [pageWords]uint64
 // written, reads as zero) and a bitmap of the pages this backing owns.
 // Pages it does not own are shared with an Image and read-only: Store
 // copies one before its first write (copy-on-write). Pages faulted in by
-// Store are owned from birth.
+// Store are owned from birth. Release hands the owned pages, and only
+// those, back to the image the backing was seeded from.
 type region struct {
 	pages [regionPages]*page
 	owned [regionPages / 64]uint64
@@ -59,6 +65,10 @@ type Backing struct {
 	// regions included, so a hit reaches the page without hashing.
 	cache  [regionSlots]regionSlot
 	npages uint64 // distinct pages held, for Footprint
+	// img is the image the backing was seeded from (nil for NewBacking):
+	// writable takes pages released to it before allocating, and Release
+	// hands the backing's own pages back to it.
+	img *Image
 }
 
 // NewBacking returns an empty memory; all addresses read as zero.
@@ -70,10 +80,20 @@ func NewBacking() *Backing {
 // one Image concurrently (NewBackingFrom): they share its pages until
 // first write, so a sweep pays one image build plus only the pages each
 // cell actually dirties, instead of re-running the workload initializer —
-// and re-allocating its full footprint — per cell.
+// and re-allocating its full footprint — per cell. A released backing
+// returns the pages it dirtied to its image, and later backings of the
+// image take those before allocating, so a sweep allocates only as many
+// pages as its concurrently running cells dirty.
 type Image struct {
 	regions map[uint64]*[regionPages]*page
 	npages  uint64
+
+	// free holds the pages released by backings seeded from this image.
+	// It is a list under a lock rather than a sync.Pool: which page
+	// objects get reused never changes a result, but a pool the garbage
+	// collector empties would make allocation counts vary from run to run.
+	mu   sync.Mutex
+	free []*page // vrlint:guardedby mu
 }
 
 // Snapshot freezes the backing's current contents into a shared Image.
@@ -97,7 +117,7 @@ func (b *Backing) Snapshot() *Image {
 // copied. Safe to call (and use the results) from concurrent goroutines
 // as long as each Backing stays goroutine-local.
 func NewBackingFrom(img *Image) *Backing {
-	b := &Backing{regions: make(map[uint64]*region, len(img.regions)), npages: img.npages}
+	b := &Backing{regions: make(map[uint64]*region, len(img.regions)), npages: img.npages, img: img}
 	//vrlint:allow simdet -- each iteration writes only its own key: the resulting map is identical under any iteration order
 	for k, pages := range img.regions {
 		b.regions[k] = &region{pages: *pages}
@@ -159,7 +179,13 @@ func (b *Backing) writable(addr uint64) *page {
 	if r.owned[word]&bit != 0 {
 		return r.pages[i]
 	}
-	p := new(page)
+	p := b.img.take()
+	switch {
+	case p == nil:
+		p = new(page)
+	case r.pages[i] == nil:
+		*p = page{} // a reused page must read as zero where nothing was written
+	}
 	if r.pages[i] != nil {
 		*p = *r.pages[i]
 	} else {
@@ -168,6 +194,45 @@ func (b *Backing) writable(addr uint64) *page {
 	r.pages[i] = p
 	r.owned[word] |= bit
 	return p
+}
+
+// take returns a page released to the image, or nil when there is none
+// or no image.
+func (img *Image) take() *page {
+	if img == nil {
+		return nil
+	}
+	img.mu.Lock()
+	defer img.mu.Unlock()
+	n := len(img.free)
+	if n == 0 {
+		return nil
+	}
+	p := img.free[n-1]
+	img.free[n-1] = nil
+	img.free = img.free[:n-1]
+	return p
+}
+
+// Release hands the pages this backing owns back to the image it was
+// seeded from, where later backings of that image take them before
+// allocating. Pages shared with an image are never handed back, so no
+// image changes. A backing made by NewBacking has no image and just
+// drops its pages. The backing must not be used afterwards.
+func (b *Backing) Release() {
+	if img := b.img; img != nil {
+		img.mu.Lock()
+		//vrlint:allow simdet -- the order decides only which page objects later backings reuse: writable overwrites each reused page before anything reads it
+		for _, r := range b.regions {
+			for w, owned := range r.owned {
+				for ; owned != 0; owned &= owned - 1 {
+					img.free = append(img.free, r.pages[w*64+bits.TrailingZeros64(owned)])
+				}
+			}
+		}
+		img.mu.Unlock()
+	}
+	*b = Backing{}
 }
 
 // LoadSlice reads n consecutive 64-bit words starting at addr. A

@@ -42,7 +42,9 @@ const (
 // Ways are stored as columns indexed set*ways+way, so a probe scans only
 // the set's 8-byte tags: tags holds line+1 (0 marks an invalid way), lru
 // the recency stamps (larger = more recently used) and state the
-// wayDirty/wayUnused bits with the fill source above them.
+// wayDirty/wayUnused bits with the fill source above them. Only the tags
+// say whether a way is valid, and an invalid way's lru and state are
+// never read: a fill writes both.
 type Cache struct {
 	name     string
 	sets     int
@@ -52,6 +54,13 @@ type Cache struct {
 	lru      []uint64
 	state    []uint8
 	lruClock uint64
+	// filled holds the column index of each set filled since the last
+	// Reset, once per set, so Reset clears only those sets' tags. A set's
+	// first fill lands on its way 0 (Insert takes the first invalid way,
+	// and nothing but Reset invalidates one), so Insert records the set
+	// when it fills a free way 0. Its capacity is the set count, so the
+	// appends never allocate.
+	filled []int
 
 	// Stats
 	Hits, Misses          uint64
@@ -77,6 +86,7 @@ func NewCache(name string, sizeBytes, ways int, latency uint64) (*Cache, error) 
 		tags:    make([]uint64, sets*ways),
 		lru:     make([]uint64, sets*ways),
 		state:   make([]uint8, sets*ways),
+		filled:  make([]int, 0, sets),
 	}, nil
 }
 
@@ -147,6 +157,9 @@ func (c *Cache) Insert(line uint64, isWrite bool, src PrefetchSource) (victim ui
 			vi = i
 		}
 	}
+	if free && vi == base {
+		c.filled = append(c.filled, base)
+	}
 	if !free {
 		st := c.state[vi]
 		victim, evicted, dirty = c.tags[vi]-1, true, st&wayDirty != 0
@@ -175,11 +188,13 @@ func (c *Cache) ResetStats() {
 	c.Hits, c.Misses, c.DirtyEvicts, c.PrefetchEvictedUnused = 0, 0, 0, 0
 }
 
-// Reset clears all lines and statistics.
+// Reset clears all lines and statistics. It invalidates only the sets
+// filled since the last Reset: every other set is still empty.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.lru)
-	clear(c.state)
+	for _, base := range c.filled {
+		clear(c.tags[base : base+c.ways])
+	}
+	c.filled = c.filled[:0]
 	c.lruClock = 0
 	c.Hits, c.Misses, c.DirtyEvicts, c.PrefetchEvictedUnused = 0, 0, 0, 0
 }

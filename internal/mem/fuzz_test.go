@@ -52,9 +52,12 @@ func (m backingModel) matches(t *testing.T, b *Backing, what string) {
 	}
 }
 
-// FuzzBacking applies Store, StoreSlice, Load, Snapshot and NewBackingFrom
-// in the order the input spells, four bytes per op (op, base, offset,
-// argument), and checks every Load against a map of words. Every image
+// FuzzBacking applies Store, StoreSlice, Load, Snapshot, NewBackingFrom
+// and Release in the order the input spells, four bytes per op (op, base,
+// offset, argument), and checks every Load against a map of words. The
+// release op hands the current backing's pages back to its image and
+// reseeds it from an image, which must then read as that image; pages
+// reused from a release must read as the image or as zero. Every image
 // must keep reading as it did when it was taken, and Footprint must be
 // 4 KiB per distinct page written. An input runs at most maxOps ops and
 // takes at most maxImages snapshots, which keeps the model's copies and
@@ -65,6 +68,12 @@ func FuzzBacking(f *testing.F) {
 		0, 0, 0, 1, 0, 3, 0x80, 2, 1, 4, 0x7f, 200, // stores around the aliasing regions
 		3, 0, 0, 0, 1, 2, 0xe0, 255, 4, 0, 0, 0, // snapshot, a span across a region edge, reseed
 		2, 2, 0x10, 0, 0, 4, 1, 5, 2, 3, 0, 0, 5, 0, 0, 0,
+	})
+	f.Add([]byte{
+		0, 0, 0, 1, 1, 1, 0x10, 20, 3, 0, 0, 0, 0, 2, 0, 0, // stores, snapshot, a store past the image
+		4, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 6, 0, 0, 0, // reseed, copy one page and fault one in, release them
+		0, 1, 0, 0, 0, 6, 1, 0, 2, 6, 0, 0, 5, 0, 0, 0, // reuse both: an image page, and one that must read as zero
+		3, 0, 0, 0, 6, 1, 0, 1, 0, 6, 0, 0, 5, 0, 0, 0, // snapshot the reused pages, release, reseed from it
 	})
 	f.Add([]byte{
 		1, 6, 0xc0, 120, 1, 8, 0x40, 200, 3, 0, 0, 0, // spans across 2^63 and across 2^64 to 0
@@ -79,7 +88,7 @@ func FuzzBacking(f *testing.F) {
 			op, base, off, arg := ops[i], ops[i+1], ops[i+2], ops[i+3]
 			addr := fuzzBases[int(base)%len(fuzzBases)] + uint64(int64(int8(off))*8) + uint64(arg&7)
 			val := uint64(i+1) * 0x9e3779b97f4a7c15
-			switch op % 6 {
+			switch op % 7 {
 			case 0:
 				b.Store(addr, val)
 				model.store(addr, val)
@@ -107,6 +116,13 @@ func FuzzBacking(f *testing.F) {
 				}
 			case 5:
 				model.matches(t, b, "backing")
+			case 6:
+				if len(images) > 0 {
+					k := int(arg) % len(images)
+					b.Release()
+					b, model = NewBackingFrom(images[k]), imageModels[k].clone()
+					model.matches(t, b, "reseeded backing")
+				}
 			}
 		}
 		model.matches(t, b, "backing at the end")

@@ -401,12 +401,17 @@ func (h *Hierarchy) ResetStatsAt(cycle uint64) {
 	h.Stats = HierStats{}
 }
 
-// Reset clears all cache contents, MSHRs, DRAM state and statistics.
+// Reset returns the hierarchy to the state NewHierarchy built it in: it
+// clears all cache contents, MSHRs, DRAM state and statistics, and
+// detaches Data, the prefetcher, Faults and PerfectL1. A reset hierarchy
+// cannot be told from a new one of the same Config, so a finished
+// simulation's hierarchy can serve the next.
 func (h *Hierarchy) Reset() {
 	h.L1D.Reset()
 	h.L2.Reset()
 	h.L3.Reset()
 	h.MSHR.Reset()
 	h.DRAM.Reset()
+	h.Data, h.pf, h.Faults, h.PerfectL1 = nil, nil, nil, false
 	h.Stats = HierStats{}
 }

@@ -88,6 +88,8 @@ func (r *refCache) insert(line uint64, isWrite bool, src PrefetchSource) (victim
 // TestCacheAgainstModel drives the production cache and the reference spec
 // with the same random stream of reads, writes and fills from every
 // source, and requires identical outcomes and counters after every step.
+// Now and then both are reset, often enough that a reset finds some sets
+// never filled since the last one.
 func TestCacheAgainstModel(t *testing.T) {
 	const sets, ways = 8, 4
 	c, err := NewCache("model", sets*ways*LineSize, ways, 1)
@@ -100,6 +102,11 @@ func TestCacheAgainstModel(t *testing.T) {
 	for op := 0; op < 50_000; op++ {
 		line := uint64(rng.Intn(sets * 8)) // heavy set contention
 		isWrite := rng.Intn(4) == 0
+		if rng.Intn(16) == 0 {
+			c.Reset()
+			ref = newRefCache(sets, ways)
+			continue
+		}
 		switch rng.Intn(5) {
 		case 0, 1:
 			gotSrc, gotUnused, gotHit := c.Lookup(line, isWrite)
