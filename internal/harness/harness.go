@@ -204,16 +204,20 @@ type instance struct {
 	ra   *core.ClassicRA
 
 	// oracle and inv are the cosimulation oracle and the invariant
-	// checker; both nil unless RunConfig.Check is set.
+	// checker, and shadow the oracle's memory; all nil unless
+	// RunConfig.Check is set.
 	oracle *oracle.Checker
 	inv    *oracle.InvariantChecker
+	shadow *mem.Backing
 
 	// ctx, when cancellable, is consulted every ctxCheckCycles cycles of
 	// execution; see RunSupervisedContext. nil means context.Background().
 	ctx context.Context
 }
 
-// newInstance validates the configuration and assembles the simulation.
+// newInstance validates the configuration and assembles the simulation
+// on a recycled hierarchy when one of the same configuration is free
+// (see recycle.go).
 func newInstance(w *workloads.Workload, rc RunConfig) (*instance, error) {
 	if err := rc.Validate(); err != nil {
 		return nil, err
@@ -222,7 +226,7 @@ func newInstance(w *workloads.Workload, rc RunConfig) (*instance, error) {
 		rc.CPU.WatchdogCycles = rc.WatchdogCycles
 	}
 	data := w.Fresh()
-	hier, err := mem.NewHierarchy(rc.Mem)
+	hier, err := hierarchies.take(rc.Mem)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +287,8 @@ func newInstance(w *workloads.Workload, rc RunConfig) (*instance, error) {
 		case in.ra != nil:
 			holding = in.ra.Holding
 		}
-		in.oracle = oracle.NewChecker(w.Prog, w.Fresh(), holding)
+		in.shadow = w.Fresh()
+		in.oracle = oracle.NewChecker(w.Prog, in.shadow, holding)
 		in.c.CommitObserver = in.oracle.OnCommit
 		in.inv = oracle.NewInvariantChecker(in.c)
 	}
@@ -302,6 +307,7 @@ func Run(w *workloads.Workload, rc RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("%s/%s: %w", w.Name, rc.Tech, err)
 	}
+	in.recycle()
 	return res, nil
 }
 

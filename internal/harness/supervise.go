@@ -127,7 +127,7 @@ func (e *RunError) Unwrap() error { return e.Err }
 // simulator is recovered into a run-phase *RunError carrying the machine
 // snapshot and the panicking stack, and a tripped watchdog (ErrNoProgress)
 // or cycle-limit abort is wrapped the same way. On success it is exactly
-// Run.
+// Run, and like Run it recycles the cell's hierarchy and pages.
 func RunSupervised(w *workloads.Workload, rc RunConfig) (Result, error) {
 	return RunSupervisedContext(context.Background(), w, rc)
 }
@@ -168,5 +168,6 @@ func supervised(in *instance) (res Result, err error) {
 			Err: rerr, Snapshot: in.snapshot(),
 		}
 	}
+	in.recycle()
 	return res, nil
 }

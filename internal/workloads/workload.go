@@ -55,7 +55,9 @@ type Workload struct {
 
 // Fresh returns an initialized backing store for the workload. Each call
 // returns an independent store: cells never observe each other's writes.
-// Safe for concurrent use.
+// A store's dirtied pages go back to the workload's image when it is
+// released (the harness releases the stores of every cell that succeeds),
+// and later stores take them before allocating. Safe for concurrent use.
 func (w *Workload) Fresh() *mem.Backing {
 	w.imageOnce.Do(func() {
 		d := mem.NewBacking()
