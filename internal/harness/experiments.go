@@ -267,7 +267,11 @@ func ExpT2Graphs(opt Options) (*Table, error) {
 	for _, k := range kernels {
 		names = append(names, k.names...)
 	}
-	ws, err := opt.buildAll(names)
+	// T2 prints the graphs' node and edge counts, so it builds its kernels
+	// here even when the cells run in worker processes.
+	build := opt
+	build.Pool = nil
+	ws, err := build.buildAll(names)
 	if err != nil {
 		return nil, err
 	}

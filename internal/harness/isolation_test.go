@@ -352,6 +352,30 @@ func TestPoolRunFnSelection(t *testing.T) {
 	}
 }
 
+// TestPoolBuildAllBuildsNothing: under a pool the workers build the
+// workloads they run, so buildAll returns workloads holding only their
+// names, constructs none, and rejects an unknown name with the error the
+// in-process path gives.
+func TestPoolBuildAllBuildsNothing(t *testing.T) {
+	opt := &Options{Pool: newTestPool(t, PoolConfig{Workers: 1})}
+	names := []string{"bfs_kr", "camel", "nas-is"}
+	ws, err := opt.buildAll(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ws {
+		if w.Name != names[i] || w.Prog != nil || w.Init != nil || w.Validate != nil || w.Nodes != 0 {
+			t.Errorf("buildAll under a pool built %s, want a workload holding only its name", names[i])
+		}
+	}
+	bad := []string{"hj2", "no-such-kernel"}
+	_, perr := opt.buildAll(bad)
+	_, ierr := (&Options{}).buildAll(bad)
+	if perr == nil || ierr == nil || perr.Error() != ierr.Error() {
+		t.Errorf("unknown workload: %v under a pool, %v in process; want the same error", perr, ierr)
+	}
+}
+
 // --- cancellation through the process boundary ------------------------------
 
 // TestIsolatedCancellation: hard-cancelling a cell mid-flight terminates

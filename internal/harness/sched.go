@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"vrsim/internal/workloads"
@@ -311,6 +312,11 @@ func (s *sweep) progressCount() int {
 // experiments' wall clock). Results are in name order, and the error
 // returned is the first failing name in that order regardless of
 // completion order.
+//
+// Under a worker pool it constructs nothing: the workers build the
+// workloads they run, and a cell here needs only its workload's name
+// (WorkerPool.Run sends nothing else). Each name is checked against the
+// registry and comes back as a workload holding just the name.
 func (o *Options) buildAll(names []string) ([]*workloads.Workload, error) {
 	if o.softCtx().Err() != nil {
 		// A cancelled campaign should not start synthesizing multi-second
@@ -318,6 +324,19 @@ func (o *Options) buildAll(names []string) ([]*workloads.Workload, error) {
 		return nil, ErrCancelled
 	}
 	ws := make([]*workloads.Workload, len(names))
+	if o.Pool != nil {
+		known := workloads.Names()
+		for i, n := range names {
+			if !slices.Contains(known, n) {
+				// ByName builds nothing for a name the registry does not
+				// hold, and its error is the in-process one.
+				_, err := workloads.ByName(n)
+				return nil, err
+			}
+			ws[i] = &workloads.Workload{Name: n}
+		}
+		return ws, nil
+	}
 	errs := make([]error, len(names))
 	p := o.parallel()
 	if p > len(names) {
