@@ -46,7 +46,7 @@ bench:
 # Allocation- and time-budget gate: re-run the benchmarks (6 repeats,
 # component-wise medians taken by the comparator) and fail if any
 # benchmark's allocs/op regressed >25% or its ns/op more than 2x against
-# the committed baseline (BENCH_PR18.json). The loose time gate catches
+# the committed baseline (BENCH_PR22.json). The loose time gate catches
 # order-of-magnitude pathologies; jitter never trips it. Each repeat runs
 # a benchmark once, except the two table benchmarks that simulate
 # nothing: at well under 100 µs per op one iteration is a single timer
@@ -56,4 +56,4 @@ benchdiff:
 	{ $(GO) test -bench='^Benchmark(Table1Config|Table3Hardware)$$' -benchmem -benchtime=5000x -count=6 -run=^$$ . && \
 	  $(GO) test -bench=. -skip='^Benchmark(Table1Config|Table3Hardware)$$' -benchmem -benchtime=1x -count=6 -run=^$$ . ; } | \
 	  $(GO) run ./scripts/benchdiff -record /tmp/bench_now.json -note "benchdiff candidate"
-	$(GO) run ./scripts/benchdiff -old BENCH_PR18.json -new /tmp/bench_now.json -threshold 25 -nsthreshold 100
+	$(GO) run ./scripts/benchdiff -old BENCH_PR22.json -new /tmp/bench_now.json -threshold 25 -nsthreshold 100
