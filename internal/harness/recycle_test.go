@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"runtime"
+	"sync"
 	"testing"
 
 	"vrsim/internal/mem"
@@ -111,6 +112,63 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecycledCellsConcurrent runs cells of two workloads on several
+// goroutines at once, so hierarchies and pages pass between cells that
+// overlap in time and several backings of one image take and release
+// pages together. Every result must match the cell's fresh run.
+func TestRecycledCellsConcurrent(t *testing.T) {
+	var ws []*workloads.Workload
+	for _, w := range smallWorkloads() {
+		if w.Name == "camel" || w.Name == "nas-is" {
+			ws = append(ws, w)
+		}
+	}
+	techs := []Technique{TechOoO, TechVR, TechPRE}
+	config := func(tech Technique) RunConfig {
+		rc := DefaultRunConfig(tech)
+		rc.MaxBudget = timingGoldenBudget
+		return rc
+	}
+	want := map[string]string{}
+	for _, w := range ws {
+		for _, tech := range techs {
+			in, err := newInstance(w, config(tech))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := in.execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[w.Name+"/"+string(tech)] = canonicalResult(t, r)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				w, tech := ws[(g+i)%len(ws)], techs[(g+2*i)%len(techs)]
+				r, err := Run(w, config(tech))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b, err := json.Marshal(r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if key := w.Name + "/" + string(tech); string(b) != want[key] {
+					t.Errorf("%s on goroutine %d, run %d: the recycled cell differs from the fresh one", key, g, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestRecycledCellAllocations runs each store-heavy or long-running
