@@ -30,12 +30,22 @@
 // with a per-attempt derived fault seed and -retrybackoff's deterministic
 // doubling delay.
 //
+// Each distinct simulation runs once per campaign. A cell's identity is
+// its workload plus its fully resolved configuration (budget, watchdog,
+// -check and its derived fault seed included); a cell whose identity an
+// earlier cell of the campaign already simulated successfully reuses that
+// outcome, so the OoO and VR baselines that F7, F9, F10 and F13 share
+// run once. A failed cell's duplicate simulates again. The output is
+// byte-identical to simulating every cell.
+//
 // -checkpoint PATH appends every completed cell to a write-ahead journal
 // (fsynced records, atomic-rename creation); with -resume, completed
 // cells replay from the journal instead of re-simulating, and a campaign
 // fingerprint (flags, experiment list, module version) refuses to resume
-// a mismatched run. A resumed campaign's output is byte-identical to an
-// uninterrupted one's.
+// a mismatched run. A record replays only onto a cell with its identity,
+// so sweep points that changed since the journal was written re-simulate.
+// A resumed campaign's output is byte-identical to an uninterrupted one's.
+// Without -checkpoint the journal lives in memory only.
 //
 // SIGINT/SIGTERM shut down gracefully: the first signal drains in-flight
 // cells, flushes the journal, and renders the partial tables with a
@@ -230,7 +240,12 @@ func run() int {
 		return configErr("unknown experiment %q", *exp)
 	}
 
-	if *checkpoint != "" {
+	// Every campaign keeps a journal, on disk only with -checkpoint: a cell
+	// whose identity an earlier cell already simulated successfully reuses
+	// that outcome instead of simulating again.
+	if *checkpoint == "" {
+		opt.Journal = harness.NewJournal()
+	} else {
 		fp := opt.Fingerprint(ids)
 		var j *harness.Journal
 		var jerr error

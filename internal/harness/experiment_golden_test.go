@@ -6,8 +6,11 @@
 // combine into rows. Under faults some cells fail, some retry, and every
 // fault sequence follows the cell's index, so a change to either shows
 // up here even when fault-free output would not move. T2 is left out
-// because it always builds four full-size graphs. Regenerate
-// intentionally with:
+// because it always builds four full-size graphs. Each configuration is
+// rendered twice, the second time with one journal without a file shared
+// by every experiment, as vrbench runs a campaign: a cell that reuses an
+// earlier experiment's outcome must render exactly as if it had been
+// simulated. Regenerate intentionally with:
 //
 //	go test ./internal/harness -run TestExperimentGolden -update-golden
 
@@ -23,8 +26,8 @@ import (
 	"vrsim/internal/mem"
 )
 
-// TestExperimentGolden checks each fault configuration's rendered tables
-// against its pinned fixture.
+// TestExperimentGolden checks each fault configuration's rendered tables,
+// with and without reuse, against its pinned fixture.
 func TestExperimentGolden(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -49,23 +52,27 @@ func TestExperimentGolden(t *testing.T) {
 			opt := c.opt
 			opt.MaxBudget = 5000
 			opt.Workloads = []string{"camel", "hj8", "kangaroo", "nas-is"}
-			var got strings.Builder
-			for _, e := range Experiments {
-				if e.ID == "t2" {
-					continue
+			render := func(opt Options) string {
+				var got strings.Builder
+				for _, e := range Experiments {
+					if e.ID == "t2" {
+						continue
+					}
+					tab, err := e.Run(opt)
+					if err != nil {
+						t.Fatalf("%s: %v", e.ID, err)
+					}
+					got.WriteString(tab.String())
 				}
-				tab, err := e.Run(opt)
-				if err != nil {
-					t.Fatalf("%s: %v", e.ID, err)
-				}
-				got.WriteString(tab.String())
+				return got.String()
 			}
+			got := render(opt)
 			path := filepath.Join("testdata", "experiments", c.name+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -74,8 +81,12 @@ func TestExperimentGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing fixture (run with -update-golden to create): %v", err)
 			}
-			if string(want) != got.String() {
-				t.Errorf("rendered tables diverged from the golden fixture %s:\n%s", path, firstDiff(string(want), got.String()))
+			if string(want) != got {
+				t.Errorf("rendered tables diverged from the golden fixture %s:\n%s", path, firstDiff(string(want), got))
+			}
+			opt.Journal = NewJournal()
+			if got := render(opt); string(want) != got {
+				t.Errorf("with reuse, rendered tables diverged from the golden fixture %s:\n%s", path, firstDiff(string(want), got))
 			}
 		})
 	}

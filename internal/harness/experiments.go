@@ -71,7 +71,11 @@ type Options struct {
 	Pool *WorkerPool
 	// Journal, when non-nil, records every completed cell for
 	// checkpoint/resume: cells present in the journal replay their stored
-	// outcome instead of re-simulating.
+	// outcome instead of re-simulating. It also serves reuse: a cell whose
+	// identity (workload plus resolved configuration) matches a successful
+	// record takes that outcome instead of simulating. Share one journal
+	// across a campaign's experiments (NewJournal makes one without a
+	// file) so that each distinct cell simulates once.
 	Journal *Journal
 	// Ctx, when non-nil, soft-cancels the campaign: once done, cells that
 	// have not started are marked cancelled — rendered as ERR cells plus a

@@ -526,13 +526,16 @@ func TestResumeLegacyFaultScopeHeader(t *testing.T) {
 		t.Fatalf("journal with a FaultScope header refused: %v", err)
 	}
 	defer j.Close()
-	if _, ok := j.lookup("F9", 0, "camel", "ooo"); !ok {
+	// The record predates cell identities, so it replays by position onto
+	// whatever identity the cell now has.
+	if _, ok := j.lookup("F9", 0, "camel", "ooo", cellKey("camel", DefaultRunConfig(TechOoO))); !ok {
 		t.Error("the legacy journal's record does not replay")
 	}
 }
 
 // TestJournalLookupGuards: a record whose workload/technique disagrees
-// with the cell at that key is ignored (the cell re-simulates).
+// with the cell at that key is ignored (the cell re-simulates), as is a
+// record whose identity disagrees with the cell's.
 func TestJournalLookupGuards(t *testing.T) {
 	dir := t.TempDir()
 	j, err := CreateJournal(filepath.Join(dir, "j.journal"), Fingerprint{Module: "m"})
@@ -545,13 +548,27 @@ func TestJournalLookupGuards(t *testing.T) {
 	if err := j.record(rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := j.lookup("F9", 0, "camel", "ooo"); !ok {
+	if _, ok := j.lookup("F9", 0, "camel", "ooo", "k0"); !ok {
 		t.Error("exact-key lookup missed")
 	}
-	if _, ok := j.lookup("F9", 0, "camel", "vr"); ok {
+	if _, ok := j.lookup("F9", 0, "camel", "vr", "k0"); ok {
 		t.Error("technique mismatch replayed a stale record")
 	}
-	if _, ok := j.lookup("F9", 0, "hj2", "ooo"); ok {
+	if _, ok := j.lookup("F9", 0, "hj2", "ooo", "k0"); ok {
 		t.Error("workload mismatch replayed a stale record")
+	}
+	keyed := Record{Exp: "F9", Index: 1, Workload: "camel", Tech: "vr", Key: "k1", Attempts: 1,
+		Result: &Result{Instrs: 1, Cycles: 1}}
+	if err := j.record(keyed); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := j.lookup("F9", 1, "camel", "vr", "k1"); !ok {
+		t.Error("identity-matched lookup missed")
+	}
+	if _, ok := j.lookup("F9", 1, "camel", "vr", "k2"); ok {
+		t.Error("identity mismatch replayed a stale record")
+	}
+	if _, ok := j.lookup("F9", 1, "camel", "vr", ""); ok {
+		t.Error("a record with an identity replayed onto a cell without one")
 	}
 }

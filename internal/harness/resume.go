@@ -1,10 +1,19 @@
-// Campaign checkpoint/resume. A Journal is a write-ahead log of completed
-// sweep cells: after every cell finishes (success or failure, but never
-// cancellation) one line-delimited JSON record — cell key, attempt count,
-// the full Result or the rendered error — is appended and fsynced. On
-// restart, completed cells replay from the journal instead of
-// re-simulating, so a multi-hour campaign survives an OOM kill or a
-// Ctrl-C at the cost of one lost in-flight cell per worker.
+// Campaign checkpoint/resume and reuse. A Journal is a write-ahead log of
+// completed sweep cells: after every cell finishes (success or failure,
+// but never cancellation) one line-delimited JSON record — cell position,
+// cell identity, attempt count, the full Result or the rendered error —
+// is appended and fsynced. On restart, completed cells replay from the
+// journal instead of re-simulating, so a multi-hour campaign survives an
+// OOM kill or a Ctrl-C at the cost of one lost in-flight cell per worker.
+//
+// The journal is also the campaign's memory of the simulations it has
+// made. A cell's identity is a hash of everything its simulation depends
+// on: the workload name and the resolved attempt-0 RunConfig. When a
+// later cell has the identity of a successful record — the baseline that
+// F7, F9, F10 and F13 all run, say — it reuses that outcome instead of
+// simulating again, and is journaled under its own position like any
+// other cell. A journal created by NewJournal has no file: it serves
+// reuse within one campaign and survives nothing.
 //
 // The file is created (and, on resume, compacted) via write-to-temp plus
 // atomic rename, so a crash can never leave a half-written header; record
@@ -18,6 +27,8 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -102,6 +113,11 @@ type Record struct {
 	Index    int
 	Workload string
 	Tech     string
+	// Key is the cell's identity (cellKey). A record replays only onto a
+	// cell with the same key, so a resumed campaign whose sweep points
+	// changed re-simulates the cells that moved. Records written before
+	// identities existed have none and replay by position alone.
+	Key      string `json:",omitempty"`
 	Attempts int
 	Result   *Result `json:",omitempty"`
 	Err      string  `json:",omitempty"`
@@ -121,16 +137,55 @@ func (r *Record) valid() bool {
 // coordinates the sweep engine addresses cells by.
 func recordKey(exp string, index int) string { return fmt.Sprintf("%s#%d", exp, index) }
 
+// cellKey returns a cell's identity: a hash of its workload name and its
+// resolved attempt-0 configuration, encoded exactly as a wireCell carries
+// them to a worker. The later attempts' fault seeds derive from the same
+// cell coordinates as attempt 0's, so equal keys mean equal simulations,
+// retries included. A configuration with a NewPredictor constructor has
+// no identity (""): no encoding captures a function, and such a cell is
+// never reused.
+func cellKey(workload string, rc RunConfig) string {
+	if rc.CPU.NewPredictor != nil {
+		return ""
+	}
+	b, err := json.Marshal(wireCell{Workload: workload, RC: rc})
+	if err != nil {
+		return ""
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // Journal is an open campaign journal. It is safe for concurrent use by
 // the sweep engine's workers.
 type Journal struct {
 	mu   sync.Mutex
 	path string            // immutable after construction; Path() reads it lock-free
-	f    *os.File          // vrlint:guardedby mu
-	done map[string]Record // vrlint:guardedby mu
+	f    *os.File          // nil for a journal without a file; vrlint:guardedby mu
+	done map[string]Record // by recordKey; vrlint:guardedby mu
+	// reuse holds the successful records by cell identity, the outcomes a
+	// later cell with that identity takes instead of simulating.
+	// vrlint:guardedby mu
+	reuse map[string]Record
 	// werr latches the first append failure; journaling stops, simulation
 	// continues. vrlint:guardedby mu
 	werr error
+}
+
+// NewJournal returns a journal without a file. It keeps a campaign's
+// outcomes in memory only, so cells with one identity simulate once, but
+// nothing resumes from it.
+func NewJournal() *Journal {
+	return &Journal{done: map[string]Record{}, reuse: map[string]Record{}}
+}
+
+// indexRecord files rec in a journal's maps: in done for replay by position
+// and, when it is a success with an identity, in reuse.
+func indexRecord(done, reuse map[string]Record, rec Record) {
+	done[recordKey(rec.Exp, rec.Index)] = rec
+	if rec.Key != "" && rec.Result != nil {
+		reuse[rec.Key] = rec
+	}
 }
 
 // CreateJournal starts a fresh journal at path, truncating any previous
@@ -147,7 +202,7 @@ func CreateJournal(path string, fp Fingerprint) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: open journal: %w", err)
 	}
-	return &Journal{path: path, f: f, done: map[string]Record{}}, nil
+	return &Journal{path: path, f: f, done: map[string]Record{}, reuse: map[string]Record{}}, nil
 }
 
 // ResumeJournal reopens an existing journal, verifies its fingerprint
@@ -178,7 +233,7 @@ func ResumeJournal(path string, fp Fingerprint) (*Journal, error) {
 	}
 	buf.Write(hb)
 	buf.WriteByte('\n')
-	done := make(map[string]Record, len(recs))
+	done, reuse := make(map[string]Record, len(recs)), map[string]Record{}
 	for _, rec := range recs {
 		rb, err := json.Marshal(rec)
 		if err != nil {
@@ -186,7 +241,7 @@ func ResumeJournal(path string, fp Fingerprint) (*Journal, error) {
 		}
 		buf.Write(rb)
 		buf.WriteByte('\n')
-		done[recordKey(rec.Exp, rec.Index)] = rec
+		indexRecord(done, reuse, rec)
 	}
 	if err := atomicWriteFile(path, buf.Bytes()); err != nil {
 		return nil, fmt.Errorf("harness: compact journal: %w", err)
@@ -195,7 +250,7 @@ func ResumeJournal(path string, fp Fingerprint) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: open journal: %w", err)
 	}
-	return &Journal{path: path, f: f, done: done}, nil
+	return &Journal{path: path, f: f, done: done, reuse: reuse}, nil
 }
 
 // decodeJournal parses a journal image tolerantly: the header must be
@@ -242,45 +297,64 @@ func (j *Journal) Replayed() int {
 	return len(j.done)
 }
 
-// Path returns the journal's file path.
+// Path returns the journal's file path ("" for a journal without a file).
 func (j *Journal) Path() string { return j.path }
 
 // lookup returns the journaled outcome for a cell, keyed by experiment
-// and index and cross-checked against the cell's workload and technique —
-// a mismatch (a reordered or edited experiment plan that slipped past the
-// fingerprint) is treated as a miss and the cell re-simulates.
-func (j *Journal) lookup(exp string, index int, workload, tech string) (Record, bool) {
+// and index and cross-checked against the cell's workload, technique and
+// identity — a mismatch (a reordered or edited experiment plan, or sweep
+// points that changed, none of which the fingerprint covers) is treated
+// as a miss and the cell re-simulates. A record without an identity
+// predates them and is checked by workload and technique only.
+func (j *Journal) lookup(exp string, index int, workload, tech, key string) (Record, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rec, ok := j.done[recordKey(exp, index)]
-	if !ok || rec.Workload != workload || rec.Tech != tech {
+	if !ok || rec.Workload != workload || rec.Tech != tech || (rec.Key != "" && rec.Key != key) {
 		return Record{}, false
 	}
 	return rec, true
 }
 
+// reusable returns a successful outcome of a cell with identity key, if
+// the journal holds one. Failures are never reused: a cell whose
+// identity only ever failed simulates again.
+func (j *Journal) reusable(key string) (Record, bool) {
+	if key == "" {
+		return Record{}, false
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rec, ok := j.reuse[key]
+	return rec, ok
+}
+
 // record appends one completed cell, fsyncing so the record survives the
-// process dying right after. The first write failure permanently disables
-// journaling (the campaign itself continues); the error is reported to
-// the caller each time so the sweep can surface it once per cell.
+// process dying right after; a journal without a file only indexes it.
+// The first write failure permanently disables journaling (the campaign
+// itself continues, reusing only what was journaled before); the error
+// is reported to the caller each time so the sweep can surface it once
+// per cell.
 func (j *Journal) record(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.werr != nil {
 		return j.werr
 	}
-	b, err := json.Marshal(rec)
-	if err == nil {
-		_, err = j.f.Write(append(b, '\n'))
+	if j.f != nil {
+		b, err := json.Marshal(rec)
+		if err == nil {
+			_, err = j.f.Write(append(b, '\n'))
+		}
+		if err == nil {
+			err = j.f.Sync()
+		}
+		if err != nil {
+			j.werr = fmt.Errorf("harness: journal append: %w", err)
+			return j.werr
+		}
 	}
-	if err == nil {
-		err = j.f.Sync()
-	}
-	if err != nil {
-		j.werr = fmt.Errorf("harness: journal append: %w", err)
-		return j.werr
-	}
-	j.done[recordKey(rec.Exp, rec.Index)] = rec
+	indexRecord(j.done, j.reuse, rec)
 	return nil
 }
 
@@ -298,9 +372,12 @@ func (j *Journal) Close() error {
 
 // atomicWriteFile writes data to path via a temp file in the same
 // directory, fsync, and rename, so path always holds either the old or
-// the complete new contents.
+// the complete new contents. The rename is a change to the directory, so
+// the directory is fsynced too: otherwise a power loss could undo it and
+// lose the file, and with it every record later appended and fsynced.
 func atomicWriteFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".journal-*")
+	dir := dirOf(path)
+	tmp, err := os.CreateTemp(dir, ".journal-*")
 	if err != nil {
 		return err
 	}
@@ -316,7 +393,18 @@ func atomicWriteFile(path string, data []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // dirOf returns the directory portion of path ("." for a bare name),

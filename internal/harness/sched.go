@@ -89,9 +89,14 @@ type sweep struct {
 	cells []*sweepCell
 }
 
+// inProcessRun is the run function of a sweep without a worker pool. It
+// is a variable so that tests can run whole experiments on scripted
+// outcomes; nothing else assigns it.
+var inProcessRun = RunSupervisedContext
+
 // newSweep starts a sweep against t.
 func (o *Options) newSweep(t *Table) *sweep {
-	s := &sweep{opt: o, t: t, runFn: RunSupervisedContext}
+	s := &sweep{opt: o, t: t, runFn: inProcessRun}
 	if o.Pool != nil {
 		// Process isolation swaps the run function and nothing else: the
 		// cell specs the scheduler derives (budget, watchdog, per-attempt
@@ -182,8 +187,10 @@ func (s *sweep) run() {
 }
 
 // exec runs one cell (or skips it when a dependency failed), storing the
-// outcome on the cell: journal replay first, then up to 1+MaxRetries
-// supervised attempts under the cell deadline, then a journal append.
+// outcome on the cell: journal replay first, then reuse of an earlier
+// cell's successful outcome with the same identity, then up to
+// 1+MaxRetries supervised attempts under the cell deadline, then a
+// journal append.
 func (s *sweep) exec(c *sweepCell) {
 	defer close(c.done)
 	skip := false
@@ -210,8 +217,11 @@ func (s *sweep) exec(c *sweepCell) {
 	if s.opt.Check {
 		rc.Check = true
 	}
-	if j := s.opt.Journal; j != nil {
-		if rec, ok := j.lookup(s.t.ID, c.idx, c.w.Name, string(rc.Tech)); ok {
+	j := s.opt.Journal
+	var key string
+	if j != nil {
+		key = cellKey(c.w.Name, s.attemptConfig(c, rc, 0))
+		if rec, ok := j.lookup(s.t.ID, c.idx, c.w.Name, string(rc.Tech), key); ok {
 			c.attempts, c.replayed = rec.Attempts, true
 			if rec.Result != nil {
 				c.res, c.ok = *rec.Result, true
@@ -221,13 +231,19 @@ func (s *sweep) exec(c *sweepCell) {
 			s.note("[%s#%03d] replaying %s/%s from journal", s.t.ID, c.idx, c.w.Name, rc.Tech)
 			return
 		}
+		if rec, ok := j.reusable(key); ok {
+			// The same simulation, retries included, already succeeded:
+			// its outcome is this cell's, attempt count and all, so the
+			// retry notes come out as if the cell had run.
+			c.res, c.ok, c.attempts = *rec.Result, true, rec.Attempts
+			s.note("[%s#%03d] reusing %s/%s from %s#%03d", s.t.ID, c.idx, c.w.Name, rc.Tech, rec.Exp, rec.Index)
+			s.journal(c, key)
+			return
+		}
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		arc := rc
-		if s.opt.Faults.Enabled() {
-			arc.Faults = s.opt.Faults.ForCellAttempt(c.w.Name, string(arc.Tech), c.idx, attempt)
-		}
+		arc := s.attemptConfig(c, rc, attempt)
 		c.attempts = attempt + 1
 		if attempt == 0 {
 			s.note("[%s#%03d] running %s/%s", s.t.ID, c.idx, c.w.Name, arc.Tech)
@@ -261,18 +277,34 @@ func (s *sweep) exec(c *sweepCell) {
 		return
 	}
 	c.err = lastErr
-	if j := s.opt.Journal; j != nil {
-		rec := Record{Exp: s.t.ID, Index: c.idx, Workload: c.w.Name,
-			Tech: string(rc.Tech), Attempts: c.attempts}
-		if c.ok {
-			r := c.res
-			rec.Result = &r
-		} else {
-			rec.Err = c.err.Error()
-		}
-		if err := j.record(rec); err != nil {
-			s.note("[%s#%03d] %v (campaign continues unjournaled)", s.t.ID, c.idx, err)
-		}
+	if j != nil {
+		s.journal(c, key)
+	}
+}
+
+// attemptConfig returns the cell's resolved configuration rc with the
+// given attempt's faults: a seed derived from the cell's coordinates and
+// the attempt, so each retry sees a different fault sequence.
+func (s *sweep) attemptConfig(c *sweepCell, rc RunConfig, attempt int) RunConfig {
+	if s.opt.Faults.Enabled() {
+		rc.Faults = s.opt.Faults.ForCellAttempt(c.w.Name, string(rc.Tech), c.idx, attempt)
+	}
+	return rc
+}
+
+// journal appends the cell's finished outcome to the campaign journal
+// under the cell's own experiment and index.
+func (s *sweep) journal(c *sweepCell, key string) {
+	rec := Record{Exp: s.t.ID, Index: c.idx, Workload: c.w.Name,
+		Tech: string(c.rc.Tech), Key: key, Attempts: c.attempts}
+	if c.ok {
+		r := c.res
+		rec.Result = &r
+	} else {
+		rec.Err = c.err.Error()
+	}
+	if err := s.opt.Journal.record(rec); err != nil {
+		s.note("[%s#%03d] %v (campaign continues unjournaled)", s.t.ID, c.idx, err)
 	}
 }
 
