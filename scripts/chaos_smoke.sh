@@ -5,6 +5,10 @@
 # to an uninterrupted run's. Also spot-checks the documented exit codes
 # (0/1 run outcome, 2 configuration error, 130 interrupted).
 #
+# A second campaign, the ablations over two workloads, goes through the
+# same interrupt and resume with cells that reuse an earlier experiment's
+# outcome: resume, reuse and retries together.
+#
 # The process-isolation sections then repeat the abuse one level down:
 # SIGKILL a worker process mid-campaign (the supervisor must restart it
 # and redispatch the lost cell with an unchanged attempt seed), and
@@ -92,6 +96,60 @@ diff -u "$dir/golden.txt" "$dir/resumed.txt" >&2 ||
 [ "$resume_status" -eq "$golden_status" ] ||
 	fail "resumed run exited $resume_status, golden exited $golden_status"
 
+echo "chaos: ablations campaign with reuse, SIGINT after the first record, resume"
+# 84 cells in nine experiments. MSHR starvation trips the watchdog, so some
+# cells recover on their retry and some give up. A cell with the identity
+# of an earlier experiment's cell (workload, configuration and derived
+# fault seed all equal: A9 repeats A7, and several sweeps' default points
+# repeat earlier ones) reuses that outcome unless it failed. The interrupt
+# lands as above: one cell at a time, frozen while the records are counted.
+abl_flags=(-exp ablations -parallel 4 -maxbudget 20000 -workloads camel,hj2
+	-faults spike=0.05,spikecycles=300,drop=0.1,starve=0.0005,starvecycles=4000 -faultseed 7
+	-watchdog 3000 -retries 1)
+abl_journal="$dir/ablations.journal"
+set +e
+"$dir/vrbench" "${abl_flags[@]}" >"$dir/abl_golden.txt" 2>"$dir/abl_golden.err"
+abl_status=$?
+"$dir/vrbench" "${abl_flags[@]}" -parallel 1 -checkpoint "$abl_journal" \
+	>"$dir/abl_interrupted.txt" 2>"$dir/abl_interrupted.err" &
+pid=$!
+records=0
+for _ in $(seq 1 1200); do
+	kill -0 "$pid" 2>/dev/null || break
+	if [ -f "$abl_journal" ] && [ "$(wc -l <"$abl_journal")" -ge 2 ]; then
+		kill -STOP "$pid"
+		records=$(($(wc -l <"$abl_journal") - 1))
+		kill -INT "$pid"
+		kill -CONT "$pid"
+		break
+	fi
+	sleep 0.05
+done
+wait "$pid"
+int_status=$?
+set -e
+case "$abl_status" in
+0 | 1) ;;
+*) fail "ablations golden run exited $abl_status (stderr: $(cat "$dir/abl_golden.err"))" ;;
+esac
+[ "$records" -ge 1 ] && [ "$records" -lt 83 ] ||
+	fail "ablations interrupt sent after $records of 84 records: no cell was certain not to have started"
+[ "$int_status" -eq 130 ] ||
+	fail "interrupted ablations run exited $int_status, want 130 (stderr: $(cat "$dir/abl_interrupted.err"))"
+set +e
+"$dir/vrbench" "${abl_flags[@]}" -checkpoint "$abl_journal" -resume -v \
+	>"$dir/abl_resumed.txt" 2>"$dir/abl_resumed.err"
+abl_resume_status=$?
+set -e
+grep -q "resuming:" "$dir/abl_resumed.err" ||
+	fail "ablations resume did not replay from the journal (stderr: $(cat "$dir/abl_resumed.err"))"
+grep -q "] reusing " "$dir/abl_resumed.err" ||
+	fail "no cell of the resumed ablations campaign reused an earlier outcome"
+diff -u "$dir/abl_golden.txt" "$dir/abl_resumed.txt" >&2 ||
+	fail "resumed ablations output differs from the uninterrupted run"
+[ "$abl_resume_status" -eq "$abl_status" ] ||
+	fail "resumed ablations run exited $abl_resume_status, golden exited $abl_status"
+
 echo "chaos: process-isolated run, worker SIGKILL mid-campaign"
 # Workers are children running "$dir/vrbench -worker"; the supervisor
 # must classify the kill, start a replacement, and redispatch the lost
@@ -172,4 +230,4 @@ set +e
 [ $? -eq 2 ] || fail "fingerprint mismatch on resume should exit 2"
 set -e
 
-echo "chaos: OK (golden/resumed/isolated byte-identical, exit $golden_status)"
+echo "chaos: OK (golden/resumed/isolated byte-identical, exit $golden_status; ablations exit $abl_status)"
