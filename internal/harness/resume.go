@@ -318,11 +318,9 @@ func (j *Journal) lookup(exp string, index int, workload, tech, key string) (Rec
 
 // reusable returns a successful outcome of a cell with identity key, if
 // the journal holds one. Failures are never reused: a cell whose
-// identity only ever failed simulates again.
+// identity only ever failed simulates again. Nothing is filed under the
+// empty key, so a cell without an identity finds nothing.
 func (j *Journal) reusable(key string) (Record, bool) {
-	if key == "" {
-		return Record{}, false
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rec, ok := j.reuse[key]
