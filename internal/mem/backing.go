@@ -11,7 +11,11 @@
 package mem
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -109,6 +113,34 @@ func (b *Backing) Snapshot() *Image {
 		r.owned = [regionPages / 64]uint64{}
 	}
 	return img
+}
+
+// Digest returns the hex SHA-256 of the image's pages in address order:
+// for each page it holds, the page's number (its address >> 12) as a
+// little-endian word, then its 512 words, little-endian. Two images
+// digest alike exactly when they hold the same pages with the same
+// words.
+func (img *Image) Digest() string {
+	keys := make([]uint64, 0, len(img.regions))
+	for k := range img.regions { //vrlint:allow simdet -- collect-then-sort: order is normalized below
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	h := sha256.New()
+	var buf [8 * (1 + pageWords)]byte
+	for _, k := range keys {
+		for i, p := range img.regions[k] {
+			if p == nil {
+				continue
+			}
+			binary.LittleEndian.PutUint64(buf[:], k<<(regionShift-pageShift)|uint64(i))
+			for w, v := range p {
+				binary.LittleEndian.PutUint64(buf[8*(1+w):], v)
+			}
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // NewBackingFrom returns a backing initialized to the image's contents,
