@@ -13,6 +13,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"vrsim/internal/rng"
 )
 
 // CSR is a directed graph in compressed sparse row form.
@@ -49,76 +51,6 @@ func (g *CSR) MaxDegree() int {
 	return m
 }
 
-// rng is a xorshift generator: deterministic, cheap, independent of
-// math/rand for reproducibility across Go versions.
-type rng struct{ s uint64 }
-
-// seedState returns the state a seed's stream starts from: the seed
-// itself, or a fixed nonzero state for 0, which xorshift never leaves.
-func seedState(seed uint64) uint64 {
-	if seed == 0 {
-		return 0x9e3779b97f4a7c15
-	}
-	return seed
-}
-
-func (r *rng) next() uint64 {
-	r.s = xorshift(r.s)
-	return r.s
-}
-
-// xorshift advances a generator state by one step.
-func xorshift(s uint64) uint64 {
-	s ^= s << 13
-	s ^= s >> 7
-	s ^= s << 17
-	return s
-}
-
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// jump advances a generator state by k steps at once. A step is linear
-// over GF(2): it maps the state through a fixed 64×64 bit matrix whose
-// column j is the step applied to bit j alone. k steps apply that matrix's
-// k-th power, built by repeated squaring, so a stream can be split into
-// chunks that start anywhere in it.
-func jump(s, k uint64) uint64 {
-	var t bitMatrix
-	for j := range t {
-		t[j] = xorshift(1 << j)
-	}
-	for ; k > 0; k >>= 1 {
-		if k&1 != 0 {
-			s = t.apply(s)
-		}
-		t = t.times(&t)
-	}
-	return s
-}
-
-// bitMatrix is a 64×64 matrix over GF(2), stored by column: column j is
-// the image of bit j.
-type bitMatrix [64]uint64
-
-// apply returns the product of m and the bit vector v.
-func (m *bitMatrix) apply(v uint64) uint64 {
-	var r uint64
-	for ; v != 0; v &= v - 1 {
-		r ^= m[bits.TrailingZeros64(v)]
-	}
-	return r
-}
-
-// times returns the product m·o.
-func (m *bitMatrix) times(o *bitMatrix) bitMatrix {
-	var r bitMatrix
-	for j, c := range o {
-		r[j] = m.apply(c)
-	}
-	return r
-}
-
 // fanOut runs body(c) for every c below p, each on its own goroutine,
 // and returns when all have returned.
 func fanOut(p int, body func(c int)) {
@@ -131,14 +63,6 @@ func fanOut(p int, body func(c int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// chunks splits [0, n) into GOMAXPROCS contiguous ranges and runs body on
-// each on its own goroutine. The ranges move with GOMAXPROCS, so what
-// body computes for an index must not depend on where its range starts.
-func chunks(n int, body func(lo, hi int)) {
-	p := runtime.GOMAXPROCS(0)
-	fanOut(p, func(c int) { body(n*c/p, n*(c+1)/p) })
 }
 
 // radixMin is the shortest adjacency list fromEdges sorts by radix;
@@ -250,10 +174,10 @@ func fromEdges(n int, edges []uint64, weighted bool, s uint64) *CSR {
 	if weighted {
 		g.Weights = make([]uint64, m)
 		// Weight i is draw i+1 after s.
-		chunks(m, func(lo, hi int) {
-			r := rng{jump(s, uint64(lo))}
+		rng.Chunks(m, func(lo, hi int) {
+			r := rng.At(rng.Jump(s, uint64(lo)))
 			for i := lo; i < hi; i++ {
-				g.Weights[i] = 1 + r.next()%255
+				g.Weights[i] = 1 + r.Next()%255
 			}
 		})
 	}
@@ -294,19 +218,19 @@ func radixSort(a, tmp []uint64, width int) []uint64 {
 // property that starves Vector Runahead of long inner loops in the paper's
 // UR results.
 func Uniform(n, avgDegree int, seed uint64, weighted bool) *CSR {
-	s := seedState(seed)
+	s := rng.Seed(seed)
 	m := n * avgDegree
 	width := vertexBits(n)
 	edges := make([]uint64, m)
 	// Edge i takes draws 2i+1 (its source) and 2i+2 (its destination).
-	chunks(m, func(lo, hi int) {
-		r := rng{jump(s, 2*uint64(lo))}
+	rng.Chunks(m, func(lo, hi int) {
+		r := rng.At(rng.Jump(s, 2*uint64(lo)))
 		for i := lo; i < hi; i++ {
-			u := uint64(r.intn(n))
-			edges[i] = u<<width | uint64(r.intn(n))
+			u := uint64(r.Intn(n))
+			edges[i] = u<<width | uint64(r.Intn(n))
 		}
 	})
-	return fromEdges(n, edges, weighted, jump(s, 2*uint64(m)))
+	return fromEdges(n, edges, weighted, rng.Jump(s, 2*uint64(m)))
 }
 
 // Kronecker generates a KR-style power-law graph with 2^scale nodes and
@@ -314,7 +238,7 @@ func Uniform(n, avgDegree int, seed uint64, weighted bool) *CSR {
 // (A,B,C) = (0.57, 0.19, 0.19). A few vertices collect enormous adjacency
 // lists — the long inner loops VR vectorizes profitably.
 func Kronecker(scale, edgeFactor int, seed uint64, weighted bool) *CSR {
-	s0 := seedState(seed)
+	s0 := rng.Seed(seed)
 	n := 1 << scale
 	m := n * edgeFactor
 	width := vertexBits(n)
@@ -337,12 +261,12 @@ func Kronecker(scale, edgeFactor int, seed uint64, weighted bool) *CSR {
 		}
 	}
 	// Edge i takes draws scale·i+1 to scale·(i+1).
-	chunks(m, func(lo, hi int) {
-		s := jump(s0, uint64(scale*lo)) // a local state stays in a register through the draws
+	rng.Chunks(m, func(lo, hi int) {
+		s := rng.Jump(s0, uint64(scale*lo)) // a local state stays in a register through the draws
 		for i := lo; i < hi; i++ {
 			var u, v uint64
 			for bit := 0; bit < scale; bit++ {
-				s = xorshift(s)
+				s = rng.Step(s)
 				q := quadrant[s%100]
 				u |= uint64(q>>1) << bit
 				v |= uint64(q&1) << bit
@@ -351,7 +275,7 @@ func Kronecker(scale, edgeFactor int, seed uint64, weighted bool) *CSR {
 			edges[i] = scramble(u, uint64(n))<<width | scramble(v, uint64(n))
 		}
 	})
-	return fromEdges(n, edges, weighted, jump(s0, uint64(scale*m)))
+	return fromEdges(n, edges, weighted, rng.Jump(s0, uint64(scale*m)))
 }
 
 // scramble applies a fixed odd-multiplier permutation modulo a power of two.

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"vrsim/internal/rng"
 )
 
 func TestUniformBasics(t *testing.T) {
@@ -180,51 +182,15 @@ func TestGeneratorDigests(t *testing.T) {
 	}
 }
 
-// TestJumpMatchesSteps checks jump against single xorshift steps, walking
-// one stream to each checked distance: the edges of the first squarings,
-// a million, and random distances below 2^26. Distances up to 2^40, too
-// far to walk, are checked by splitting them: k steps must be one step
-// after k-1, and j steps after k-j.
-func TestJumpMatchesSteps(t *testing.T) {
-	r := rng{seedState(3)}
-	ks := []uint64{0, 1, 63, 64, 65, 1_000_000}
-	for range 8 {
-		ks = append(ks, r.next()%(1<<26))
-	}
-	slices.Sort(ks)
-	for _, seed := range []uint64{1, 0xdeadbeef, seedState(0)} {
-		s, at := seed, uint64(0)
-		for _, k := range ks {
-			for ; at < k; at++ {
-				s = xorshift(s)
-			}
-			if got := jump(seed, k); got != s {
-				t.Errorf("jump(%#x, %d) = %#x, %d single steps give %#x", seed, k, got, k, s)
-			}
-		}
-		for range 16 {
-			k := 1 + r.next()%(1<<40-1)
-			j := r.next() % k
-			want := jump(seed, k)
-			if got := xorshift(jump(seed, k-1)); got != want {
-				t.Errorf("seed %#x: one step after jump %d = %#x, jump %d = %#x", seed, k-1, got, k, want)
-			}
-			if got := jump(jump(seed, k-j), j); got != want {
-				t.Errorf("seed %#x: jump %d after jump %d = %#x, jump %d = %#x", seed, j, k-j, got, k, want)
-			}
-		}
-	}
-}
-
 // TestRadixSortMatchesSort checks radixSort against slices.Sort at widths
 // needing one, two and three byte passes, reusing one scratch buffer.
 func TestRadixSortMatchesSort(t *testing.T) {
-	r := rng{seedState(9)}
+	r := rng.New(9)
 	var tmp []uint64
 	for _, c := range []struct{ n, bits int }{{300, 8}, {2000, 16}, {700, 20}, {5000, 20}} {
 		a := make([]uint64, c.n)
 		for i := range a {
-			a[i] = r.next() & (1<<c.bits - 1)
+			a[i] = r.Next() & (1<<c.bits - 1)
 		}
 		want := slices.Clone(a)
 		slices.Sort(want)

@@ -7,6 +7,7 @@ import (
 	"vrsim/internal/graph"
 	"vrsim/internal/isa"
 	"vrsim/internal/mem"
+	"vrsim/internal/rng"
 )
 
 // GraphKind selects a synthetic graph generator standing in for the
@@ -63,10 +64,10 @@ func shuffleEdges(seed uint64, arrays ...[]uint64) {
 	if len(arrays) == 0 {
 		return
 	}
-	x := newXorshift(seed)
+	x := rng.New(seed)
 	n := len(arrays[0])
 	for i := n - 1; i > 0; i-- {
-		j := int(x.next() % uint64(i+1))
+		j := int(x.Next() % uint64(i+1))
 		for _, a := range arrays {
 			a[i], a[j] = a[j], a[i]
 		}
@@ -162,10 +163,10 @@ func shortestPaths(g *graph.CSR, src int, inf uint64) []uint64 {
 
 // pickSource returns a deterministic source vertex with nonzero degree.
 func pickSource(g *graph.CSR) int {
-	x := newXorshift(99)
+	x := rng.New(99)
 	n := g.NumNodes()
 	for {
-		v := int(x.next() % uint64(n))
+		v := int(x.Next() % uint64(n))
 		if g.Degree(v) > 0 {
 			return v
 		}
@@ -310,9 +311,9 @@ func CC(scale int, kind GraphKind, tag string) *Workload {
 	go func() { labels <- minLabels(g) }()
 	shuffleEdges(77, srcs, dsts)
 	initComp := <-labels
-	px := newXorshift(123)
+	px := rng.New(123)
 	for v := 0; v < n; v++ {
-		if px.next()%64 == 0 {
+		if px.Next()%64 == 0 {
 			initComp[v] = uint64(n + v)
 		}
 	}
@@ -411,10 +412,10 @@ func PR(scale int, kind GraphKind, tag string) *Workload {
 
 	const damping = 0.85
 	contrib := make([]uint64, n)
-	x := newXorshift(44)
+	x := rng.New(44)
 	contribF := make([]float64, n)
 	for v := 0; v < n; v++ {
-		r := float64(x.next()%1000) / 1000
+		r := float64(x.Next()%1000) / 1000
 		d := g.Degree(v)
 		if d == 0 {
 			d = 1
@@ -523,9 +524,9 @@ func SSSP(scale int, kind GraphKind, tag string) *Workload {
 	srcs, dsts, wts := edgeList(g)
 	shuffleEdges(88, srcs, dsts, wts)
 	initDist := <-dists
-	px := newXorshift(5150)
+	px := rng.New(5150)
 	for v := 0; v < n; v++ {
-		if initDist[v] != inf && initDist[v] > 1 && px.next()%64 == 0 {
+		if initDist[v] != inf && initDist[v] > 1 && px.Next()%64 == 0 {
 			initDist[v] /= 2
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"vrsim/internal/isa"
 	"vrsim/internal/mem"
+	"vrsim/internal/rng"
 )
 
 // sortedKeys returns m's keys in ascending order, so validators visit
@@ -87,23 +88,23 @@ func Camel(tableLog, iters int) *Workload {
 
 	mask := uint64(size - 1)
 	fill := func(d *mem.Backing) {
-		x := newXorshift(101)
+		x := rng.New(101)
 		for i := 0; i < iters; i++ {
-			d.Store(baseA+uint64(i)*8, x.next())
+			d.Store(baseA+uint64(i)*8, x.Next())
 		}
 		for i := 0; i < size; i++ {
-			d.Store(baseB+uint64(i)*8, x.next())
+			d.Store(baseB+uint64(i)*8, x.Next())
 		}
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
-		x := newXorshift(101)
+		x := rng.New(101)
 		a := make([]uint64, iters)
 		for i := range a {
-			a[i] = x.next()
+			a[i] = x.Next()
 		}
 		bt := make([]uint64, size)
 		for i := range bt {
-			bt[i] = x.next()
+			bt[i] = x.Next()
 		}
 		want := make(map[uint64]uint64)
 		for i := 0; i < iters; i++ {
@@ -165,26 +166,26 @@ func Kangaroo(tableLog, iters int) *Workload {
 
 	um := uint64(size)
 	fill := func(d *mem.Backing) {
-		x := newXorshift(202)
+		x := rng.New(202)
 		for i := 0; i < iters; i++ {
-			d.Store(baseA+uint64(i)*8, x.next()%um)
+			d.Store(baseA+uint64(i)*8, x.Next()%um)
 		}
 		for i := 0; i < size; i++ {
-			d.Store(baseB+uint64(i)*8, x.next()%um)
-			d.Store(baseC+uint64(i)*8, x.next()%1_000_000)
+			d.Store(baseB+uint64(i)*8, x.Next()%um)
+			d.Store(baseC+uint64(i)*8, x.Next()%1_000_000)
 		}
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
-		x := newXorshift(202)
+		x := rng.New(202)
 		a := make([]uint64, iters)
 		for i := range a {
-			a[i] = x.next() % um
+			a[i] = x.Next() % um
 		}
 		bt := make([]uint64, size)
 		ct := make([]uint64, size)
 		for i := 0; i < size; i++ {
-			bt[i] = x.next() % um
-			ct[i] = x.next() % 1_000_000
+			bt[i] = x.Next() % um
+			ct[i] = x.Next() % 1_000_000
 		}
 		for i := 0; i < iters; i++ {
 			want := ct[bt[a[i]]]
@@ -252,29 +253,29 @@ func HashJoin(depth, tableLog, iters int) *Workload {
 
 	mask := uint64(size - 1)
 	fill := func(d *mem.Backing) {
-		x := newXorshift(303)
+		x := rng.New(303)
 		for i := 0; i < iters; i++ {
-			d.Store(baseK+uint64(i)*8, x.next())
+			d.Store(baseK+uint64(i)*8, x.Next())
 		}
 		for i := 0; i < size; i++ {
-			d.Store(baseHT+uint64(i)*8, x.next()&mask)
-			d.Store(baseNx+uint64(i)*8, x.next()&mask)
-			d.Store(baseP+uint64(i)*8, x.next()%1000)
+			d.Store(baseHT+uint64(i)*8, x.Next()&mask)
+			d.Store(baseNx+uint64(i)*8, x.Next()&mask)
+			d.Store(baseP+uint64(i)*8, x.Next()%1000)
 		}
 	}
 	validate := func(d *mem.Backing, regs [isa.NumRegs]uint64) error {
-		x := newXorshift(303)
+		x := rng.New(303)
 		keys := make([]uint64, iters)
 		for i := range keys {
-			keys[i] = x.next()
+			keys[i] = x.Next()
 		}
 		ht := make([]uint64, size)
 		nx := make([]uint64, size)
 		pl := make([]uint64, size)
 		for i := 0; i < size; i++ {
-			ht[i] = x.next() & mask
-			nx[i] = x.next() & mask
-			pl[i] = x.next() % 1000
+			ht[i] = x.Next() & mask
+			nx[i] = x.Next() & mask
+			pl[i] = x.Next() % 1000
 		}
 		var sum uint64
 		for i := 0; i < iters; i++ {
@@ -352,29 +353,29 @@ func NASCG(rows, nnzPerRow int) *Workload {
 	b.Halt()
 
 	fill := func(d *mem.Backing) {
-		x := newXorshift(404)
+		x := rng.New(404)
 		for r := 0; r <= rows; r++ {
 			d.Store(baseRp+uint64(r)*8, uint64(r*nnzPerRow))
 		}
 		for j := 0; j < nnz; j++ {
-			d.Store(baseCol+uint64(j)*8, x.next()%uint64(rows))
-			d.Store(baseVal+uint64(j)*8, f64bits(float64(x.next()%16)/4))
+			d.Store(baseCol+uint64(j)*8, x.Next()%uint64(rows))
+			d.Store(baseVal+uint64(j)*8, f64bits(float64(x.Next()%16)/4))
 		}
 		for i := 0; i < rows; i++ {
-			d.Store(baseX+uint64(i)*8, f64bits(float64(x.next()%256)/64))
+			d.Store(baseX+uint64(i)*8, f64bits(float64(x.Next()%256)/64))
 		}
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
-		x := newXorshift(404)
+		x := rng.New(404)
 		col := make([]uint64, nnz)
 		val := make([]float64, nnz)
 		for j := 0; j < nnz; j++ {
-			col[j] = x.next() % uint64(rows)
-			val[j] = float64(x.next()%16) / 4
+			col[j] = x.Next() % uint64(rows)
+			val[j] = float64(x.Next()%16) / 4
 		}
 		xv := make([]float64, rows)
 		for i := range xv {
-			xv[i] = float64(x.next()%256) / 64
+			xv[i] = float64(x.Next()%256) / 64
 		}
 		for r := 0; r < rows; r++ {
 			acc := 0.0
@@ -427,16 +428,16 @@ func NASIS(tableLog, iters int) *Workload {
 
 	um := uint64(size)
 	fill := func(d *mem.Backing) {
-		x := newXorshift(505)
+		x := rng.New(505)
 		for i := 0; i < iters; i++ {
-			d.Store(baseK+uint64(i)*8, x.next()%um)
+			d.Store(baseK+uint64(i)*8, x.Next()%um)
 		}
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
-		x := newXorshift(505)
+		x := rng.New(505)
 		want := make(map[uint64]uint64)
 		for i := 0; i < iters; i++ {
-			want[x.next()%um]++
+			want[x.Next()%um]++
 		}
 		for _, k := range sortedKeys(want) {
 			if got := d.Load(baseR + k*8); got != want[k] {
@@ -486,16 +487,16 @@ func RandomAccess(tableLog, iters int) *Workload {
 
 	um := uint64(size)
 	fill := func(d *mem.Backing) {
-		x := newXorshift(606)
+		x := rng.New(606)
 		for i := 0; i < iters; i++ {
-			d.Store(baseI+uint64(i)*8, x.next()%um)
+			d.Store(baseI+uint64(i)*8, x.Next()%um)
 		}
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
-		x := newXorshift(606)
+		x := rng.New(606)
 		want := make(map[uint64]uint64)
 		for i := 0; i < iters; i++ {
-			v := x.next() % um
+			v := x.Next() % um
 			want[v] ^= v
 		}
 		for _, k := range sortedKeys(want) {

@@ -5,6 +5,7 @@ import (
 
 	"vrsim/internal/isa"
 	"vrsim/internal/mem"
+	"vrsim/internal/rng"
 )
 
 // Micro-benchmarks: small calibration kernels outside the paper's 13
@@ -37,16 +38,16 @@ func MicroStream(words int) *Workload {
 	b.Blt(rI, rN, "loop")
 	b.Halt()
 	fill := func(d *mem.Backing) {
-		x := newXorshift(1)
+		x := rng.New(1)
 		for i := 0; i < words; i++ {
-			d.Store(base+uint64(i)*8, x.next()%1000)
+			d.Store(base+uint64(i)*8, x.Next()%1000)
 		}
 	}
 	validate := func(d *mem.Backing, regs [isa.NumRegs]uint64) error {
-		x := newXorshift(1)
+		x := rng.New(1)
 		var want uint64
 		for i := 0; i < words; i++ {
-			want += x.next() % 1000
+			want += x.Next() % 1000
 		}
 		if regs[rSum] != want {
 			return fmt.Errorf("micro-stream: sum = %d, want %d", regs[rSum], want)
@@ -80,13 +81,13 @@ func MicroChase(nodes, hops int) *Workload {
 	// Sattolo's algorithm: a uniformly random single-cycle permutation, so
 	// the chase visits every node before repeating.
 	succ := func() []uint64 {
-		x := newXorshift(2)
+		x := rng.New(2)
 		perm := make([]uint64, nodes)
 		for i := range perm {
 			perm[i] = uint64(i)
 		}
 		for i := nodes - 1; i > 0; i-- {
-			j := int(x.next() % uint64(i))
+			j := int(x.Next() % uint64(i))
 			perm[i], perm[j] = perm[j], perm[i]
 		}
 		next := make([]uint64, nodes)
@@ -162,23 +163,23 @@ func MicroIndirect(levels, rounds, tableLog, iters int) *Workload {
 
 	mask := uint64(size - 1)
 	fill := func(d *mem.Backing) {
-		x := newXorshift(3)
+		x := rng.New(3)
 		for i := 0; i < iters; i++ {
-			d.Store(baseIdx+uint64(i)*8, x.next())
+			d.Store(baseIdx+uint64(i)*8, x.Next())
 		}
 		for i := 0; i < size; i++ {
-			d.Store(baseT+uint64(i)*8, x.next())
+			d.Store(baseT+uint64(i)*8, x.Next())
 		}
 	}
 	validate := func(d *mem.Backing, regs [isa.NumRegs]uint64) error {
-		x := newXorshift(3)
+		x := rng.New(3)
 		idx := make([]uint64, iters)
 		for i := range idx {
-			idx[i] = x.next()
+			idx[i] = x.Next()
 		}
 		tab := make([]uint64, size)
 		for i := range tab {
-			tab[i] = x.next()
+			tab[i] = x.Next()
 		}
 		var want uint64
 		for i := 0; i < iters; i++ {

@@ -225,24 +225,6 @@ const (
 func f64bits(f float64) uint64     { return math.Float64bits(f) }
 func f64frombits(u uint64) float64 { return math.Float64frombits(u) }
 
-// xorshift64 is the deterministic generator used by initializers and
-// validators alike.
-type xorshift64 struct{ s uint64 }
-
-func newXorshift(seed uint64) *xorshift64 {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &xorshift64{s: seed}
-}
-
-func (x *xorshift64) next() uint64 {
-	x.s ^= x.s << 13
-	x.s ^= x.s >> 7
-	x.s ^= x.s << 17
-	return x.s
-}
-
 // Disasm renders a workload's kernel as annotated assembly.
 func Disasm(w *Workload) string {
 	return isa.DisasmProgram(w.Prog)
