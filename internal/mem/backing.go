@@ -22,11 +22,11 @@ import (
 // LineSize is the cache line size in bytes.
 const LineSize = 64
 
-// pageShift sizes backing pages at 4 KiB (512 words); regionShift groups
-// them into 2 MiB regions of 512 page refs.
+// pageShift sizes backing pages at 4 KiB, PageWords words each;
+// regionShift groups them into 2 MiB regions of 512 page refs.
 const (
 	pageShift   = 12
-	pageWords   = 1 << (pageShift - 3)
+	PageWords   = 1 << (pageShift - 3)
 	regionShift = 21
 	regionPages = 1 << (regionShift - pageShift)
 )
@@ -37,7 +37,7 @@ const (
 const regionSlots = 64
 
 // page is one 4 KiB backing page.
-type page = [pageWords]uint64
+type page = [PageWords]uint64
 
 // region is one 2 MiB span of a backing: a ref per page (nil = never
 // written, reads as zero) and a bitmap of the pages this backing owns.
@@ -127,7 +127,7 @@ func (img *Image) Digest() string {
 	}
 	slices.Sort(keys)
 	h := sha256.New()
-	var buf [8 * (1 + pageWords)]byte
+	var buf [8 * (1 + PageWords)]byte
 	for _, k := range keys {
 		for i, p := range img.regions[k] {
 			if p == nil {
@@ -177,22 +177,45 @@ func (b *Backing) Load(addr uint64) uint64 {
 	if p == nil {
 		return 0
 	}
-	return p[(addr>>3)&(pageWords-1)]
+	return p[(addr>>3)&(PageWords-1)]
 }
 
 // Store writes the 64-bit word at addr (aligned down).
 func (b *Backing) Store(addr, val uint64) {
-	b.writable(addr)[(addr>>3)&(pageWords-1)] = val
+	b.writable(addr)[(addr>>3)&(PageWords-1)] = val
 }
 
 // StoreSlice writes vals as consecutive 64-bit words starting at addr
 // (aligned down), copying one page span at a time.
 func (b *Backing) StoreSlice(addr uint64, vals []uint64) {
-	for len(vals) > 0 {
-		n := copy(b.writable(addr)[(addr>>3)&(pageWords-1):], vals)
-		vals = vals[n:]
-		addr += uint64(n) * 8
+	for _, words := range b.Span(addr, len(vals)) {
+		vals = vals[copy(words, vals):]
 	}
+}
+
+// Span returns the n consecutive 64-bit words starting at addr (aligned
+// down) page by page, in address order: each slice is the part of one
+// page the span covers, so a span that starts on a page boundary holds
+// PageWords words in every slice but its last. The pages are made this
+// backing's own as Store makes them, each once: a missing page is
+// allocated and a page shared with an image is copied. Writing the
+// slices writes the backing, until a Snapshot shares their pages with an
+// image; they must not be written after that. Distinct slices may be
+// written from distinct goroutines.
+func (b *Backing) Span(addr uint64, n int) [][]uint64 {
+	if n <= 0 {
+		return nil
+	}
+	off := int(addr>>3) & (PageWords - 1)
+	words := make([][]uint64, 0, (off+n+PageWords-1)/PageWords)
+	for n > 0 {
+		m := min(n, PageWords-off)
+		words = append(words, b.writable(addr)[off:off+m])
+		n -= m
+		addr += uint64(m) * 8
+		off = 0
+	}
+	return words
 }
 
 // writable returns the page holding addr, owned by this backing: a

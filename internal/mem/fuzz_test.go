@@ -52,12 +52,15 @@ func (m backingModel) matches(t *testing.T, b *Backing, what string) {
 	}
 }
 
-// FuzzBacking applies Store, StoreSlice, Load, Snapshot, NewBackingFrom
-// and Release in the order the input spells, four bytes per op (op, base,
-// offset, argument), and checks every Load against a map of words. The
-// release op hands the current backing's pages back to its image and
-// reseeds it from an image, which must then read as that image; pages
-// reused from a release must read as the image or as zero. Every image
+// FuzzBacking applies Store, StoreSlice, Load, Snapshot, NewBackingFrom,
+// Release and writes through Span in the order the input spells, four
+// bytes per op (op, base, offset, argument), and checks every Load
+// against a map of words. The release op hands the current backing's
+// pages back to its image and reseeds it from an image, which must then
+// read as that image; pages reused from a release must read as the image
+// or as zero. The span op takes a span's pages once and writes every word
+// through them, on a fresh backing or on one seeded from an image, which
+// must copy the pages it shares rather than write into them. Every image
 // must keep reading as it did when it was taken, and Footprint must be
 // 4 KiB per distinct page written. An input runs at most maxOps ops and
 // takes at most maxImages snapshots, which keeps the model's copies and
@@ -79,6 +82,11 @@ func FuzzBacking(f *testing.F) {
 		1, 6, 0xc0, 120, 1, 8, 0x40, 200, 3, 0, 0, 0, // spans across 2^63 and across 2^64 to 0
 		0, 5, 0x90, 9, 4, 0, 0, 0, 2, 6, 0, 0, 1, 1, 0xf0, 150, 5, 0, 0, 0,
 	})
+	f.Add([]byte{
+		7, 2, 0xc0, 200, 7, 6, 0x80, 90, 5, 0, 0, 0, // spans across a region edge and across 2^63
+		3, 0, 0, 0, 4, 0, 0, 0, 7, 2, 0x40, 200, 5, 0, 0, 0, // snapshot, reseed, write two shared pages through a span
+		0, 1, 0, 0, 7, 1, 0xf0, 30, 2, 2, 0x60, 0, 6, 0, 0, 0, // an owned page and a new one, release, reseed
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		b := NewBacking()
 		model := backingModel{words: map[uint64]uint64{}, pages: map[uint64]bool{}}
@@ -88,7 +96,7 @@ func FuzzBacking(f *testing.F) {
 			op, base, off, arg := ops[i], ops[i+1], ops[i+2], ops[i+3]
 			addr := fuzzBases[int(base)%len(fuzzBases)] + uint64(int64(int8(off))*8) + uint64(arg&7)
 			val := uint64(i+1) * 0x9e3779b97f4a7c15
-			switch op % 7 {
+			switch op % 8 {
 			case 0:
 				b.Store(addr, val)
 				model.store(addr, val)
@@ -122,6 +130,18 @@ func FuzzBacking(f *testing.F) {
 					b.Release()
 					b, model = NewBackingFrom(images[k]), imageModels[k].clone()
 					model.matches(t, b, "reseeded backing")
+				}
+			case 7:
+				j := 0
+				for _, words := range b.Span(addr, int(arg)*3) {
+					for w := range words {
+						words[w] = val + uint64(j)
+						model.store(addr+uint64(j)*8, words[w])
+						j++
+					}
+				}
+				if j != int(arg)*3 {
+					t.Fatalf("op %d: Span(%#x, %d) covers %d words", i/4, addr, int(arg)*3, j)
 				}
 			}
 		}

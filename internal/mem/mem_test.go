@@ -136,18 +136,18 @@ func TestStoreSliceMatchesStore(t *testing.T) {
 		addr uint64
 		n    int
 	}{
-		{word(0, 100), 2*pageWords + 50},   // pages 0-2
-		{word(1, 500) + 5, pageWords + 20}, // pages 1-3, unaligned
-		{word(4, 7), 3 * pageWords},        // pages 4-7
+		{word(0, 100), 2*PageWords + 50},   // pages 0-2
+		{word(1, 500) + 5, PageWords + 20}, // pages 1-3, unaligned
+		{word(4, 7), 3 * PageWords},        // pages 4-7
 	}
 	src := NewBacking()
 	for pg := 0; pg < 8; pg += 2 {
-		for i := 0; i < pageWords; i++ {
+		for i := 0; i < PageWords; i++ {
 			src.Store(word(pg, i), uint64(pg)<<32|uint64(i))
 		}
 	}
 	img := src.Snapshot()
-	imageWords := NewBackingFrom(img).LoadSlice(base, 9*pageWords)
+	imageWords := NewBackingFrom(img).LoadSlice(base, 9*PageWords)
 
 	for _, fresh := range []func() *Backing{NewBacking, func() *Backing { return NewBackingFrom(img) }} {
 		got, want := fresh(), fresh()
@@ -166,7 +166,7 @@ func TestStoreSliceMatchesStore(t *testing.T) {
 				want.Store(sp.addr+uint64(i)*8, v)
 			}
 		}
-		if !slices.Equal(got.LoadSlice(base, 9*pageWords), want.LoadSlice(base, 9*pageWords)) {
+		if !slices.Equal(got.LoadSlice(base, 9*PageWords), want.LoadSlice(base, 9*PageWords)) {
 			t.Fatal("StoreSlice differs from per-word Store")
 		}
 		if got.Footprint() != want.Footprint() {
@@ -178,7 +178,7 @@ func TestStoreSliceMatchesStore(t *testing.T) {
 				t.Fatalf("page %d: a Store after StoreSlice missed its private copy", pg)
 			}
 		}
-		if !slices.Equal(NewBackingFrom(img).LoadSlice(base, 9*pageWords), imageWords) {
+		if !slices.Equal(NewBackingFrom(img).LoadSlice(base, 9*PageWords), imageWords) {
 			t.Fatal("StoreSlice wrote through into the image")
 		}
 	}
