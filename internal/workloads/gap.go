@@ -748,8 +748,10 @@ func BC(scale int, kind GraphKind, tag string) *Workload {
 
 	fill := func(d *mem.Backing) {
 		writeCSR(d)
-		for v := 0; v < n; v++ {
-			d.Store(baseDepth+uint64(v)*8, inf)
+		for _, page := range d.Span(baseDepth, n) {
+			for w := range page {
+				page[w] = inf
+			}
 		}
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {

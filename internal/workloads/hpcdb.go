@@ -42,6 +42,26 @@ func nativeHash(v uint64, rounds int) uint64 {
 	return v
 }
 
+// fillDraws is a drawPages fill that writes each draw as it is.
+func fillDraws(s uint64, page [][]uint64) uint64 {
+	for w := range page[0] {
+		s = rng.Step(s)
+		page[0][w] = s
+	}
+	return s
+}
+
+// fillIndices returns a drawPages fill that writes each draw modulo n.
+func fillIndices(n uint64) func(s uint64, page [][]uint64) uint64 {
+	return func(s uint64, page [][]uint64) uint64 {
+		for w := range page[0] {
+			s = rng.Step(s)
+			page[0][w] = s % n
+		}
+		return s
+	}
+}
+
 // Camel is the paper's Figure-1 kernel: a two-level indirect chain with a
 // hash between levels, C[hash(B[hash(A[i])])]++ — the canonical pattern
 // Vector Runahead targets.
@@ -88,13 +108,8 @@ func Camel(tableLog, iters int) *Workload {
 
 	mask := uint64(size - 1)
 	fill := func(d *mem.Backing) {
-		x := rng.New(101)
-		for i := 0; i < iters; i++ {
-			d.Store(baseA+uint64(i)*8, x.Next())
-		}
-		for i := 0; i < size; i++ {
-			d.Store(baseB+uint64(i)*8, x.Next())
-		}
+		drawPages(d, 101, 0, iters, []uint64{baseA}, fillDraws)
+		drawPages(d, 101, uint64(iters), size, []uint64{baseB}, fillDraws)
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		x := rng.New(101)
@@ -166,14 +181,17 @@ func Kangaroo(tableLog, iters int) *Workload {
 
 	um := uint64(size)
 	fill := func(d *mem.Backing) {
-		x := rng.New(202)
-		for i := 0; i < iters; i++ {
-			d.Store(baseA+uint64(i)*8, x.Next()%um)
-		}
-		for i := 0; i < size; i++ {
-			d.Store(baseB+uint64(i)*8, x.Next()%um)
-			d.Store(baseC+uint64(i)*8, x.Next()%1_000_000)
-		}
+		drawPages(d, 202, 0, iters, []uint64{baseA}, fillIndices(um))
+		drawPages(d, 202, uint64(iters), size, []uint64{baseB, baseC}, func(s uint64, page [][]uint64) uint64 {
+			b, c := page[0], page[1][:len(page[0])]
+			for w := range b {
+				s = rng.Step(s)
+				b[w] = s % um
+				s = rng.Step(s)
+				c[w] = s % 1_000_000
+			}
+			return s
+		})
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		x := rng.New(202)
@@ -253,15 +271,19 @@ func HashJoin(depth, tableLog, iters int) *Workload {
 
 	mask := uint64(size - 1)
 	fill := func(d *mem.Backing) {
-		x := rng.New(303)
-		for i := 0; i < iters; i++ {
-			d.Store(baseK+uint64(i)*8, x.Next())
-		}
-		for i := 0; i < size; i++ {
-			d.Store(baseHT+uint64(i)*8, x.Next()&mask)
-			d.Store(baseNx+uint64(i)*8, x.Next()&mask)
-			d.Store(baseP+uint64(i)*8, x.Next()%1000)
-		}
+		drawPages(d, 303, 0, iters, []uint64{baseK}, fillDraws)
+		drawPages(d, 303, uint64(iters), size, []uint64{baseHT, baseNx, baseP}, func(s uint64, page [][]uint64) uint64 {
+			ht, nx, pl := page[0], page[1][:len(page[0])], page[2][:len(page[0])]
+			for w := range ht {
+				s = rng.Step(s)
+				ht[w] = s & mask
+				s = rng.Step(s)
+				nx[w] = s & mask
+				s = rng.Step(s)
+				pl[w] = s % 1000
+			}
+			return s
+		})
 	}
 	validate := func(d *mem.Backing, regs [isa.NumRegs]uint64) error {
 		x := rng.New(303)
@@ -353,17 +375,28 @@ func NASCG(rows, nnzPerRow int) *Workload {
 	b.Halt()
 
 	fill := func(d *mem.Backing) {
-		x := rng.New(404)
-		for r := 0; r <= rows; r++ {
-			d.Store(baseRp+uint64(r)*8, uint64(r*nnzPerRow))
+		for k, page := range d.Span(baseRp, rows+1) {
+			for w := range page {
+				page[w] = uint64((k*mem.PageWords + w) * nnzPerRow)
+			}
 		}
-		for j := 0; j < nnz; j++ {
-			d.Store(baseCol+uint64(j)*8, x.Next()%uint64(rows))
-			d.Store(baseVal+uint64(j)*8, f64bits(float64(x.Next()%16)/4))
-		}
-		for i := 0; i < rows; i++ {
-			d.Store(baseX+uint64(i)*8, f64bits(float64(x.Next()%256)/64))
-		}
+		drawPages(d, 404, 0, nnz, []uint64{baseCol, baseVal}, func(s uint64, page [][]uint64) uint64 {
+			col, val := page[0], page[1][:len(page[0])]
+			for w := range col {
+				s = rng.Step(s)
+				col[w] = s % uint64(rows)
+				s = rng.Step(s)
+				val[w] = f64bits(float64(s%16) / 4)
+			}
+			return s
+		})
+		drawPages(d, 404, 2*uint64(nnz), rows, []uint64{baseX}, func(s uint64, page [][]uint64) uint64 {
+			for w := range page[0] {
+				s = rng.Step(s)
+				page[0][w] = f64bits(float64(s%256) / 64)
+			}
+			return s
+		})
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		x := rng.New(404)
@@ -428,10 +461,7 @@ func NASIS(tableLog, iters int) *Workload {
 
 	um := uint64(size)
 	fill := func(d *mem.Backing) {
-		x := rng.New(505)
-		for i := 0; i < iters; i++ {
-			d.Store(baseK+uint64(i)*8, x.Next()%um)
-		}
+		drawPages(d, 505, 0, iters, []uint64{baseK}, fillIndices(um))
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		x := rng.New(505)
@@ -487,10 +517,7 @@ func RandomAccess(tableLog, iters int) *Workload {
 
 	um := uint64(size)
 	fill := func(d *mem.Backing) {
-		x := rng.New(606)
-		for i := 0; i < iters; i++ {
-			d.Store(baseI+uint64(i)*8, x.Next()%um)
-		}
+		drawPages(d, 606, 0, iters, []uint64{baseI}, fillIndices(um))
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		x := rng.New(606)

@@ -44,3 +44,25 @@ func TestImageDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallImagesAtEveryGOMAXPROCS builds every small-scale instance at
+// GOMAXPROCS 1, 2, 3 and 8. Each must validate against its sequential
+// reference, and its image must digest the same at every setting. The
+// fills split a few pages over up to eight goroutines, some of which get
+// none; under -race the test also checks that they write disjoint pages.
+func TestSmallImagesAtEveryGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	digests := map[string]string{}
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, w := range smallRegistry() {
+			runAndValidate(t, w)
+			got := w.image.Digest()
+			if want, ok := digests[w.Name]; !ok {
+				digests[w.Name] = got
+			} else if got != want {
+				t.Errorf("GOMAXPROCS %d: %s: image digest %s, at GOMAXPROCS 1 %s", procs, w.Name, got, want)
+			}
+		}
+	}
+}

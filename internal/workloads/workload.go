@@ -19,6 +19,7 @@ import (
 
 	"vrsim/internal/isa"
 	"vrsim/internal/mem"
+	"vrsim/internal/rng"
 )
 
 // Workload is one runnable benchmark.
@@ -82,6 +83,34 @@ func (l *layout) array(n int) uint64 {
 	// 4 KiB alignment.
 	l.next = (base + bytes + (1 << 20) + 0xfff) &^ 0xfff
 	return base
+}
+
+// drawPages writes n-element arrays from seed's xorshift stream: element
+// i of the arrays at bases takes the len(bases) draws after draw
+// skip+len(bases)·i, one per array in order. It takes every array's pages
+// once (mem.Backing.Span) and hands contiguous runs of page indices to
+// GOMAXPROCS goroutines, each of which jumps its stream once, to its
+// run's first draw, and then calls fill on each page index of its run:
+// fill writes page[j], that page of the array at bases[j], drawing after
+// state s, and returns the state it leaves. Page k of every array holds
+// elements k·mem.PageWords on, since the layout aligns arrays to pages,
+// so the image is the same at every GOMAXPROCS.
+func drawPages(d *mem.Backing, seed, skip uint64, n int, bases []uint64, fill func(s uint64, page [][]uint64) uint64) {
+	spans := make([][][]uint64, len(bases))
+	for j, base := range bases {
+		spans[j] = d.Span(base, n)
+	}
+	s0 := rng.Jump(rng.Seed(seed), skip)
+	rng.Chunks(len(spans[0]), func(lo, hi int) {
+		s := rng.Jump(s0, uint64(len(bases)*lo*mem.PageWords))
+		page := make([][]uint64, len(bases))
+		for k := lo; k < hi; k++ {
+			for j := range spans {
+				page[j] = spans[j][k]
+			}
+			s = fill(s, page)
+		}
+	})
 }
 
 // checkRange compares a memory range against expected values.
