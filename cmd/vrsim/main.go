@@ -35,8 +35,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, w := range workloads.Registry() {
-			fmt.Println(w.Name)
+		for _, name := range workloads.Names() {
+			fmt.Println(name)
 		}
 		return
 	}

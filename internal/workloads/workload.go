@@ -171,17 +171,6 @@ func Names() []string {
 	return names
 }
 
-// Registry builds every workload at default scale. Graph synthesis makes
-// this expensive; prefer ByName for single workloads.
-func Registry() []*Workload {
-	bs := Builders()
-	ws := make([]*Workload, len(bs))
-	for i, b := range bs {
-		ws[i] = b.Build()
-	}
-	return ws
-}
-
 // byNameCache memoizes default-scale workload construction: graph
 // synthesis and validator precomputation dominate campaign startup, and
 // every sweep in a process asks for the same deterministic inputs.
