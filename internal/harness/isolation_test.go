@@ -19,6 +19,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -284,6 +285,40 @@ func TestWorkerCrashRedispatch(t *testing.T) {
 	st := pool.Stats()
 	if st.Crashes != 1 || st.Starts != 2 {
 		t.Errorf("stats = %+v, want 1 crash and 2 starts", st)
+	}
+}
+
+// TestWorkerConcurrentCrashes: two workers die while both of their cells
+// are in flight. Each fake worker marks its start in a shared directory
+// and exits only once both have started, so the two dispatches are
+// outstanding together and the pool books both crashes from two
+// goroutines. Both cells fail with the worker error, and the books show
+// two starts and two crashes. Under -race this checks the locking of the
+// crash count.
+func TestWorkerConcurrentCrashes(t *testing.T) {
+	dir := t.TempDir()
+	pool := newTestPool(t, PoolConfig{
+		Command:       shWorker(fmt.Sprintf(`: > %q/$$; until [ "$(ls %q | wc -l)" -ge 2 ]; do sleep 0.01; done; exit 2`, dir, dir)),
+		Workers:       2,
+		MaxDispatches: 1,
+	})
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = pool.Run(context.Background(), workloads.MicroStream(64), DefaultRunConfig(TechOoO))
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrWorkerCrashed) {
+			t.Errorf("cell %d: err = %v, want ErrWorkerCrashed", i, err)
+		}
+	}
+	if st := pool.Stats(); st.Starts != 2 || st.Crashes != 2 {
+		t.Errorf("stats = %+v, want 2 starts and 2 crashes", st)
 	}
 }
 
