@@ -183,7 +183,7 @@ func Kangaroo(tableLog, iters int) *Workload {
 	fill := func(d *mem.Backing) {
 		drawPages(d, 202, 0, iters, []uint64{baseA}, fillIndices(um))
 		drawPages(d, 202, uint64(iters), size, []uint64{baseB, baseC}, func(s uint64, page [][]uint64) uint64 {
-			b, c := page[0], page[1][:len(page[0])]
+			b, c := page[0], page[1]
 			for w := range b {
 				s = rng.Step(s)
 				b[w] = s % um
@@ -273,7 +273,7 @@ func HashJoin(depth, tableLog, iters int) *Workload {
 	fill := func(d *mem.Backing) {
 		drawPages(d, 303, 0, iters, []uint64{baseK}, fillDraws)
 		drawPages(d, 303, uint64(iters), size, []uint64{baseHT, baseNx, baseP}, func(s uint64, page [][]uint64) uint64 {
-			ht, nx, pl := page[0], page[1][:len(page[0])], page[2][:len(page[0])]
+			ht, nx, pl := page[0], page[1], page[2]
 			for w := range ht {
 				s = rng.Step(s)
 				ht[w] = s & mask
@@ -381,7 +381,7 @@ func NASCG(rows, nnzPerRow int) *Workload {
 			}
 		}
 		drawPages(d, 404, 0, nnz, []uint64{baseCol, baseVal}, func(s uint64, page [][]uint64) uint64 {
-			col, val := page[0], page[1][:len(page[0])]
+			col, val := page[0], page[1]
 			for w := range col {
 				s = rng.Step(s)
 				col[w] = s % uint64(rows)

@@ -100,9 +100,8 @@ func drawPages(d *mem.Backing, seed, skip uint64, n int, bases []uint64, fill fu
 	for j, base := range bases {
 		spans[j] = d.Span(base, n)
 	}
-	s0 := rng.Jump(rng.Seed(seed), skip)
 	rng.Chunks(len(spans[0]), func(lo, hi int) {
-		s := rng.Jump(s0, uint64(len(bases)*lo*mem.PageWords))
+		s := rng.Jump(rng.Seed(seed), skip+uint64(len(bases)*lo*mem.PageWords))
 		page := make([][]uint64, len(bases))
 		for k := lo; k < hi; k++ {
 			for j := range spans {
