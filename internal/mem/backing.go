@@ -188,34 +188,27 @@ func (b *Backing) Store(addr, val uint64) {
 // StoreSlice writes vals as consecutive 64-bit words starting at addr
 // (aligned down), copying one page span at a time.
 func (b *Backing) StoreSlice(addr uint64, vals []uint64) {
-	for _, words := range b.Span(addr, len(vals)) {
+	b.Span(addr, len(vals), func(words []uint64) {
 		vals = vals[copy(words, vals):]
-	}
+	})
 }
 
-// Span returns the n consecutive 64-bit words starting at addr (aligned
-// down) page by page, in address order: each slice is the part of one
-// page the span covers, so a span that starts on a page boundary holds
-// PageWords words in every slice but its last. The pages are made this
-// backing's own as Store makes them, each once: a missing page is
-// allocated and a page shared with an image is copied. Writing the
-// slices writes the backing, until a Snapshot shares their pages with an
-// image; they must not be written after that. Distinct slices may be
-// written from distinct goroutines.
-func (b *Backing) Span(addr uint64, n int) [][]uint64 {
-	if n <= 0 {
-		return nil
-	}
-	off := int(addr>>3) & (PageWords - 1)
-	words := make([][]uint64, 0, (off+n+PageWords-1)/PageWords)
-	for n > 0 {
+// Span hands visit the n consecutive 64-bit words starting at addr
+// (aligned down) page by page, in address order: each slice is the part
+// of one page the span covers, so a span that starts on a page boundary
+// visits PageWords words in every slice but its last. Each page is made
+// this backing's own once, as Store makes it: a missing page is
+// allocated and a page shared with an image is copied. Writing a slice
+// writes the backing, during visit or after it, until a Snapshot shares
+// its page with an image; it must not be written after that. Distinct
+// slices may be written from distinct goroutines.
+func (b *Backing) Span(addr uint64, n int, visit func(words []uint64)) {
+	for off := int(addr>>3) & (PageWords - 1); n > 0; off = 0 {
 		m := min(n, PageWords-off)
-		words = append(words, b.writable(addr)[off:off+m])
+		visit(b.writable(addr)[off : off+m])
 		n -= m
 		addr += uint64(m) * 8
-		off = 0
 	}
-	return words
 }
 
 // writable returns the page holding addr, owned by this backing: a

@@ -133,13 +133,13 @@ func FuzzBacking(f *testing.F) {
 				}
 			case 7:
 				j := 0
-				for _, words := range b.Span(addr, int(arg)*3) {
+				b.Span(addr, int(arg)*3, func(words []uint64) {
 					for w := range words {
 						words[w] = val + uint64(j)
 						model.store(addr+uint64(j)*8, words[w])
 						j++
 					}
-				}
+				})
 				if j != int(arg)*3 {
 					t.Fatalf("op %d: Span(%#x, %d) covers %d words", i/4, addr, int(arg)*3, j)
 				}

@@ -127,8 +127,9 @@ func TestBackingCopyOnWrite(t *testing.T) {
 // unaligned address) and cross several page boundaries, into a fresh
 // backing and into one seeded from an image. Stores first write a few
 // pages in an order unlike the spans', so the spans cross pages that are
-// owned, shared with the image and absent. The image never changes, and
-// a later Store lands in the private copy StoreSlice made.
+// owned, shared with the image and absent. The image never changes, a
+// later Store lands in the private copy StoreSlice made, and a StoreSlice
+// into pages the backing owns allocates nothing.
 func TestStoreSliceMatchesStore(t *testing.T) {
 	const base = 0x40000
 	word := func(pg, i int) uint64 { return base + uint64(pg)<<pageShift + uint64(i)*8 }
@@ -180,6 +181,10 @@ func TestStoreSliceMatchesStore(t *testing.T) {
 		}
 		if !slices.Equal(NewBackingFrom(img).LoadSlice(base, 9*PageWords), imageWords) {
 			t.Fatal("StoreSlice wrote through into the image")
+		}
+		vals := make([]uint64, 3*PageWords)
+		if n := testing.AllocsPerRun(5, func() { got.StoreSlice(word(1, 7), vals) }); n != 0 {
+			t.Errorf("StoreSlice into owned pages allocates %.0f times, want 0", n)
 		}
 	}
 }

@@ -748,11 +748,11 @@ func BC(scale int, kind GraphKind, tag string) *Workload {
 
 	fill := func(d *mem.Backing) {
 		writeCSR(d)
-		for _, page := range d.Span(baseDepth, n) {
+		d.Span(baseDepth, n, func(page []uint64) {
 			for w := range page {
 				page[w] = inf
 			}
-		}
+		})
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		// Replicate the exact algorithm (including FP operation order).

@@ -375,11 +375,13 @@ func NASCG(rows, nnzPerRow int) *Workload {
 	b.Halt()
 
 	fill := func(d *mem.Backing) {
-		for k, page := range d.Span(baseRp, rows+1) {
+		r := 0
+		d.Span(baseRp, rows+1, func(page []uint64) {
 			for w := range page {
-				page[w] = uint64((k*mem.PageWords + w) * nnzPerRow)
+				page[w] = uint64(r * nnzPerRow)
+				r++
 			}
-		}
+		})
 		drawPages(d, 404, 0, nnz, []uint64{baseCol, baseVal}, func(s uint64, page [][]uint64) uint64 {
 			col, val := page[0], page[1]
 			for w := range col {

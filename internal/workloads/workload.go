@@ -98,7 +98,8 @@ func (l *layout) array(n int) uint64 {
 func drawPages(d *mem.Backing, seed, skip uint64, n int, bases []uint64, fill func(s uint64, page [][]uint64) uint64) {
 	spans := make([][][]uint64, len(bases))
 	for j, base := range bases {
-		spans[j] = d.Span(base, n)
+		spans[j] = make([][]uint64, 0, (n+mem.PageWords-1)/mem.PageWords)
+		d.Span(base, n, func(words []uint64) { spans[j] = append(spans[j], words) })
 	}
 	rng.Chunks(len(spans[0]), func(lo, hi int) {
 		s := rng.Jump(rng.Seed(seed), skip+uint64(len(bases)*lo*mem.PageWords))
