@@ -358,7 +358,8 @@ func runExp(e harness.Experiment, opt harness.Options, format string) (degraded,
 	if err != nil {
 		return false, false, err
 	}
-	//vrlint:allow lockcheck -- the experiment driver has returned: all cell goroutines are joined, so these reads are ordered after every guarded write
+	// The experiment driver has returned: all cell goroutines are joined,
+	// so these reads are ordered after every write under the table's lock.
 	degraded, cancelled = len(t.Errors) > 0, t.Cancelled > 0
 	if format == "json" {
 		enc := json.NewEncoder(os.Stdout)

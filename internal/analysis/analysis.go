@@ -7,8 +7,8 @@
 // vrlint pass.
 //
 // The simulator-specific passes live in the subpackages simdet, panicfree,
-// cyclesafe, cfgflow, exhaustive (per-package) and statsflow, lockcheck,
-// observe (module-scope); cmd/vrlint assembles them into a multichecker.
+// cyclesafe, cfgflow, exhaustive (per-package) and observe (module-scope);
+// cmd/vrlint assembles them into a multichecker.
 // Each invariant they encode — and why determinism is load-bearing for the
 // EXPERIMENTS.md shape comparisons — is documented in DESIGN.md under
 // "Static invariants".

@@ -5,8 +5,7 @@
 // packages is two distinct types.Object trees), the graph is keyed by
 // strings — "pkg/path.Func", "(pkg/path.Type).Method" and a synthetic
 // "pkg/path.func@file:line" for function literals — never by types.Object
-// identity. That is the same discipline statsflow established for its
-// cross-package counter tracing.
+// identity.
 //
 // The graph is an over-approximation tuned for reachability questions:
 //

@@ -9,9 +9,9 @@ import (
 // A ModuleAnalyzer is a whole-module static-analysis pass: unlike an
 // Analyzer, which sees one package at a time, its Run receives every
 // loaded package at once. Passes whose invariants span package
-// boundaries (e.g. statsflow, which traces counter writes in the
-// simulator packages to Result fields in the harness) must use this
-// form.
+// boundaries (e.g. observe, which follows the call graph from observer
+// hooks in one package to the state they write in another) must use
+// this form.
 //
 // Module analyzers run only in vrlint's standalone mode: the go vet
 // unitchecker protocol type-checks one package per process, so a

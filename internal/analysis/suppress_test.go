@@ -112,8 +112,8 @@ func TestMarkSuppressed(t *testing.T) {
 	}
 }
 
-// TestModuleScopeSuppression pins the suppression path the module-scope
-// passes (statsflow, lockcheck, observe) take: a ModulePass
+// TestModuleScopeSuppression pins the suppression path a module-scope
+// pass such as observe takes: a ModulePass
 // resolves //vrlint:allow annotations across the files of *every* loaded
 // package, so an annotation in one package silences a finding the pass
 // reported there even when the pass itself was driven from another
@@ -122,7 +122,7 @@ func TestMarkSuppressed(t *testing.T) {
 func TestModuleScopeSuppression(t *testing.T) {
 	const otherSrc = `package q
 
-//vrlint:allow lockcheck -- written once, before any goroutine starts
+//vrlint:allow observe -- written once, before any observer runs
 var scratch []int
 
 var bare int
@@ -137,7 +137,7 @@ var bare int
 		t.Fatalf("parse q: %v", err)
 	}
 	pass := &ModulePass{
-		Analyzer: &ModuleAnalyzer{Name: "lockcheck"},
+		Analyzer: &ModuleAnalyzer{Name: "observe"},
 		Fset:     fset,
 		Pkgs: []*Package{
 			{PkgPath: "vrsim/p", Fset: fset, Files: []*ast.File{pfile}},
@@ -150,7 +150,7 @@ var bare int
 	pass.Reportf(lineStart(qfile, 4), "finding under module-scope allow")
 	pass.Reportf(lineStart(qfile, 6), "finding with no annotation")
 	// A finding in p: suppressSrc's line-5 annotation names simdet, not
-	// lockcheck, so a module pass with a different name must not be
+	// observe, so a module pass with a different name must not be
 	// silenced by it (wrong-pass edge, module scope).
 	pass.Reportf(lineStart(pfile, 6), "finding under another pass's allow")
 
@@ -183,7 +183,7 @@ var bare int
 // testdata relies on: a //vrlint:allow line in a testdata source file
 // suppresses the matching finding, so golden files can hold both flagged
 // (`// want ...`) and allowed cases side by side. The per-pass golden
-// tests (cyclesafe, exhaustive, statsflow) exercise this end to end;
+// tests (cyclesafe, exhaustive and the others) exercise this end to end;
 // this test pins the mechanism in isolation.
 func TestAllowInsideGoldens(t *testing.T) {
 	src := `package golden

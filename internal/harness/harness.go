@@ -377,7 +377,6 @@ func (in *instance) finalCheck() error {
 // execute runs the assembled simulation and collects its metrics.
 func (in *instance) execute() (Result, error) {
 	w, rc, c, hier := in.w, in.rc, in.c, in.hier
-	vr, pre, ra := in.vr, in.pre, in.ra
 
 	budget := rc.Budget
 	if budget == 0 {
@@ -419,16 +418,59 @@ func (in *instance) execute() (Result, error) {
 		return Result{}, err
 	}
 
-	st := &c.Stats
-	hs := &hier.Stats
+	return assemble(w.Name, rc.Tech, in.counters()), nil
+}
+
+// counters are the counter structs a finished run leaves behind: the
+// inputs of assemble. An engine's stats are nil when the run had no such
+// engine, and the fault stats when it injected none.
+type counters struct {
+	CPU     *cpu.Stats
+	Hier    *mem.HierStats
+	Derived mem.DerivedStats
+	VR      *core.VRStats
+	PRE     *core.PREStats
+	RA      *core.RAStats
+	Faults  *mem.FaultStats
+}
+
+// counters gathers the instance's counters once its run has ended.
+func (in *instance) counters() counters {
+	st := &in.c.Stats
+	c := counters{
+		CPU:     st,
+		Hier:    &in.hier.Stats,
+		Derived: in.hier.Derive(st.Committed, st.Cycles),
+	}
+	if in.vr != nil {
+		c.VR = &in.vr.Stats
+	}
+	if in.pre != nil {
+		c.PRE = &in.pre.Stats
+	}
+	if in.ra != nil {
+		c.RA = &in.ra.Stats
+	}
+	if in.hier.Faults != nil {
+		c.Faults = &in.hier.Faults.Stats
+	}
+	return c
+}
+
+// assemble builds the Result of a run of workload under tech from the
+// run's counters and nothing else.
+func assemble(workload string, tech Technique, c counters) Result {
+	st, hs, d := c.CPU, c.Hier, c.Derived
 	res := Result{
-		Workload: w.Name,
-		Tech:     rc.Tech,
+		Workload: workload,
+		Tech:     tech,
 		Cycles:   st.Cycles,
 		Instrs:   st.Committed,
 		IPC:      st.IPC(),
 
-		MLP:            hier.MSHR.AvgOccupancy(st.Cycles),
+		MLP:            d.MLP,
+		L1MissRate:     d.L1MissRate,
+		LLCMPKI:        d.LLCMPKI,
 		MispredictRate: st.MispredictRate(),
 
 		Fetched:            st.Fetched,
@@ -444,6 +486,12 @@ func (in *instance) execute() (Result, error) {
 		OffChipDemand:   hs.OffChipBySource[mem.SrcDemand],
 		OffChipRunahead: hs.OffChipBySource[mem.SrcRunahead],
 		OffChipPrefetch: hs.OffChipBySource[mem.SrcStride] + hs.OffChipBySource[mem.SrcIMP],
+		// Same value as the DRAM's access count, routed through
+		// DerivedStats so the derived and raw views cannot drift apart.
+		OffChipTotal: d.TotalOffChip,
+
+		DRAMAvgLat: d.DRAMAvgLat,
+		DRAMUtil:   d.DRAMUtil,
 
 		DemandLoadsByLevel:  hs.DemandLoads,
 		DemandStoresByLevel: hs.DemandStores,
@@ -456,39 +504,31 @@ func (in *instance) execute() (Result, error) {
 		TimelinessL3:       hs.TimelinessHits[mem.SrcRunahead][mem.AtL3],
 		TimelinessInFlight: hs.PrefetchLate,
 	}
-	d := hier.Derive(st.Committed, st.Cycles)
-	res.L1MissRate = d.L1MissRate
-	res.LLCMPKI = d.LLCMPKI
-	res.DRAMAvgLat = d.DRAMAvgLat
-	res.DRAMUtil = d.DRAMUtil
-	res.MLPArea = d.AvgMLP
-	// Same value as hier.DRAM.Accesses, routed through DerivedStats so the
-	// derived and raw views cannot drift apart.
-	res.OffChipTotal = d.TotalOffChip
 	if st.Cycles > 0 {
 		res.ROBFullFrac = float64(st.ROBFullCycles) / float64(st.Cycles)
 		res.ResourceStallFrac = float64(st.ResourceStallCycles) / float64(st.Cycles)
 		res.StallLoadFrac = float64(st.CommitStall[cpu.StallLoad]) / float64(st.Cycles)
 		res.HeldFrac = float64(st.CommitStall[cpu.StallHeld]) / float64(st.Cycles)
+		res.MLPArea = float64(hs.MissLatencyArea) / float64(st.Cycles)
 	}
-	if vr != nil {
-		res.VRStats = vr.Stats
+	if c.VR != nil {
+		res.VRStats = *c.VR
 		var issued uint64
 		for lvl := mem.AtL2; lvl <= mem.AtMem; lvl++ {
 			issued += hs.RunaheadAccesses[lvl]
 		}
 		res.RunaheadIssued = issued
 	}
-	if pre != nil {
-		res.PREStats = pre.Stats
+	if c.PRE != nil {
+		res.PREStats = *c.PRE
 	}
-	if ra != nil {
-		res.RAStats = ra.Stats
+	if c.RA != nil {
+		res.RAStats = *c.RA
 	}
-	if hier.Faults != nil {
-		res.Faults = hier.Faults.Stats
+	if c.Faults != nil {
+		res.Faults = *c.Faults
 	}
-	return res, nil
+	return res
 }
 
 // Speedup returns r's performance normalized to base, comparing by

@@ -292,9 +292,9 @@ func TestWorkerCrashRedispatch(t *testing.T) {
 // are in flight. Each fake worker marks its start in a shared directory
 // and exits only once both have started, so the two dispatches are
 // outstanding together and the pool books both crashes from two
-// goroutines. Both cells fail with the worker error, and the books show
-// two starts and two crashes. Under -race this checks the locking of the
-// crash count.
+// goroutines, while a third goroutine polls Stats. Both cells fail with
+// the worker error, and the books show two starts and two crashes. Under
+// -race this checks the locking of the start and crash counts.
 func TestWorkerConcurrentCrashes(t *testing.T) {
 	dir := t.TempDir()
 	pool := newTestPool(t, PoolConfig{
@@ -311,7 +311,23 @@ func TestWorkerConcurrentCrashes(t *testing.T) {
 			_, errs[i] = pool.Run(context.Background(), workloads.MicroStream(64), DefaultRunConfig(TechOoO))
 		}()
 	}
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = pool.Stats()
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	<-polled
 	for i, err := range errs {
 		if !errors.Is(err, ErrWorkerCrashed) {
 			t.Errorf("cell %d: err = %v, want ErrWorkerCrashed", i, err)

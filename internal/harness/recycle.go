@@ -29,7 +29,7 @@ var hierarchies hierarchyList
 // configurations holds no more than one over a single configuration.
 type hierarchyList struct {
 	mu   sync.Mutex
-	free []pooledHierarchy // vrlint:guardedby mu
+	free []pooledHierarchy // guarded by mu
 }
 
 type pooledHierarchy struct {

@@ -161,14 +161,14 @@ func cellKey(workload string, rc RunConfig) string {
 type Journal struct {
 	mu   sync.Mutex
 	path string            // immutable after construction; Path() reads it lock-free
-	f    *os.File          // nil for a journal without a file; vrlint:guardedby mu
-	done map[string]Record // by recordKey; vrlint:guardedby mu
+	f    *os.File          // nil for a journal without a file; guarded by mu
+	done map[string]Record // by recordKey; guarded by mu
 	// reuse holds the successful records by cell identity, the outcomes a
-	// later cell with that identity takes instead of simulating.
-	// vrlint:guardedby mu
+	// later cell with that identity takes instead of simulating. Guarded
+	// by mu.
 	reuse map[string]Record
 	// werr latches the first append failure; journaling stops, simulation
-	// continues. vrlint:guardedby mu
+	// continues. Guarded by mu.
 	werr error
 }
 

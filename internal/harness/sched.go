@@ -77,9 +77,6 @@ type sweep struct {
 	t   *Table
 
 	mu sync.Mutex // serializes Progress callbacks from worker goroutines
-	// progressLines counts the progress callbacks delivered; tests read it
-	// through progressCount to pin the serialization discipline.
-	progressLines int // vrlint:guardedby mu
 
 	// runFn executes one cell attempt; it is RunSupervisedContext except
 	// in tests, which substitute scripted outcomes to exercise the retry
@@ -328,15 +325,7 @@ func (s *sweep) note(format string, args ...any) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.progressLines++
 	s.opt.Progress(fmt.Sprintf(format, args...))
-}
-
-// progressCount returns how many progress lines the sweep has emitted.
-func (s *sweep) progressCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.progressLines
 }
 
 // buildAll materializes the named workloads, constructing up to

@@ -13,18 +13,18 @@ type Table struct {
 	ID     string // experiment id, e.g. "F7"
 	Title  string
 	Header []string
-	Rows   [][]string // vrlint:guardedby mu
-	Notes  []string   // vrlint:guardedby mu
+	Rows   [][]string // guarded by mu
+	Notes  []string   // guarded by mu
 	// Errors collects per-cell failures from degrade-gracefully experiment
 	// drivers: each entry is one failed run's *RunError (with its machine
 	// snapshot). Rendered as a trailing summary; a non-empty list makes
 	// vrbench exit non-zero after printing everything.
-	Errors []string `json:",omitempty"` // vrlint:guardedby mu
+	Errors []string `json:",omitempty"` // guarded by mu
 	// Cancelled counts cells the campaign was interrupted out of running
 	// (including cells skipped because a dependency was cancelled). A
 	// nonzero count renders a trailing CANCELLED summary and makes
 	// vrbench exit with the interrupt status.
-	Cancelled int `json:",omitempty"` // vrlint:guardedby mu
+	Cancelled int `json:",omitempty"` // guarded by mu
 
 	// mu guards Rows, Notes, Errors and Cancelled so tables tolerate
 	// concurrent appends. The sweep engine nevertheless assembles rows,
@@ -48,8 +48,7 @@ func (t *Table) AddError(err error) {
 	t.Errors = append(t.Errors, err.Error())
 }
 
-// AddNote appends one note line (drivers also append to Notes directly
-// when single-threaded; this is the mutex-guarded path).
+// AddNote appends one note line.
 func (t *Table) AddNote(note string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -51,8 +51,7 @@ func writeFrame(w io.Writer, v any) error {
 	buf := make([]byte, 4+len(payload))
 	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
 	copy(buf[4:], payload)
-	// One Write call per frame: writes from the heartbeat goroutine and
-	// the result path interleave at frame granularity, never mid-frame.
+	// One Write call per frame.
 	_, err = w.Write(buf)
 	return err
 }

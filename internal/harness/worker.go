@@ -15,26 +15,10 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"vrsim/internal/workloads"
 )
-
-// frameWriter serializes frame writes from the cell goroutine and the
-// heartbeat goroutine onto one stream. Frames are the atomicity unit of
-// the protocol; interleaving two writes mid-frame would garble the
-// stream and the supervisor would classify the worker as torn.
-type frameWriter struct {
-	mu sync.Mutex
-	w  io.Writer // vrlint:guardedby mu
-}
-
-func (fw *frameWriter) send(v any) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return writeFrame(fw.w, v)
-}
 
 // RunWorker executes cells dispatched over r, reporting over w, until r
 // reaches EOF (the supervisor closed the pipe: a clean shutdown) or ctx
@@ -42,7 +26,6 @@ func (fw *frameWriter) send(v any) error {
 // failure on the outbound one is returned — the worker cannot continue
 // past either — and vrbench maps it to the protocol-failure exit code.
 func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
-	fw := &frameWriter{w: w}
 	for {
 		payload, err := readFrame(r)
 		if err == io.EOF {
@@ -55,7 +38,7 @@ func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 		if err := json.Unmarshal(payload, &spec); err != nil {
 			return fmt.Errorf("%w: garbled cell spec: %v", ErrWorkerProtocol, err)
 		}
-		if err := runWorkerCell(ctx, fw, spec); err != nil {
+		if err := runWorkerCell(ctx, w, spec); err != nil {
 			return err
 		}
 		if ctx.Err() != nil {
@@ -71,17 +54,17 @@ func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 // — an unknown workload, a panic, a timeout — travels back to the
 // supervisor as a structured result so it degrades to an ERR table cell
 // exactly as it would in-process.
-func runWorkerCell(ctx context.Context, fw *frameWriter, spec wireCell) error {
+func runWorkerCell(ctx context.Context, w io.Writer, spec wireCell) error {
 	// Heartbeats start before workload lookup: ByName constructs the
 	// workload on this process's first dispatch of it (graph synthesis,
 	// validator precompute — easily longer than the heartbeat deadline),
 	// and a silent worker mid-construction must not read as wedged.
-	stopHB := startHeartbeats(fw, spec.ID, spec.HeartbeatEvery)
+	stopHB := startHeartbeats(w, spec.ID, spec.HeartbeatEvery)
 
 	wl, err := workloads.ByName(spec.Workload)
 	if err != nil {
 		stopHB()
-		return fw.send(wireMsg{Type: msgResult, ID: spec.ID, Err: newWireError(
+		return writeFrame(w, wireMsg{Type: msgResult, ID: spec.ID, Err: newWireError(
 			spec.Workload, spec.RC.Tech,
 			&RunError{Workload: spec.Workload, Tech: spec.RC.Tech, Phase: "setup", Err: err})})
 	}
@@ -104,17 +87,18 @@ func runWorkerCell(ctx context.Context, fw *frameWriter, spec wireCell) error {
 	} else {
 		msg.Result = &res
 	}
-	return fw.send(msg)
+	return writeFrame(w, msg)
 }
 
 // startHeartbeats begins the per-cell heartbeat stream: a wireMsg every
 // `every` with the worker's live heap size, the forensic the supervisor
-// uses to call a SIGKILLed worker a probable OOM. The returned stop
-// function waits for the goroutine to exit, so no heartbeat can be
-// written after the cell's result. Heartbeat write failures are ignored
+// uses to call a SIGKILLed worker a probable OOM. The heartbeats and the
+// cell's result share w without a lock: the returned stop function waits
+// for the goroutine to exit, so every heartbeat is written before the
+// result, never beside it. Heartbeat write failures are ignored
 // here — the next result write will hit the same broken pipe and report
 // it from a path that can act on it.
-func startHeartbeats(fw *frameWriter, id int, every time.Duration) (stop func()) {
+func startHeartbeats(w io.Writer, id int, every time.Duration) (stop func()) {
 	if every <= 0 {
 		return func() {}
 	}
@@ -131,7 +115,7 @@ func startHeartbeats(fw *frameWriter, id int, every time.Duration) (stop func())
 			case <-tick.C:
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
-				_ = fw.send(wireMsg{Type: msgHeartbeat, ID: id, HeapAlloc: ms.HeapAlloc})
+				_ = writeFrame(w, wireMsg{Type: msgHeartbeat, ID: id, HeapAlloc: ms.HeapAlloc})
 			}
 		}
 	}()

@@ -117,11 +117,11 @@ type WorkerPool struct {
 	slots chan struct{}
 
 	mu      sync.Mutex
-	idle    []*workerProc // vrlint:guardedby mu
-	starts  int           // vrlint:guardedby mu
-	crashes int           // vrlint:guardedby mu
-	nextID  int           // vrlint:guardedby mu
-	closed  bool          // vrlint:guardedby mu
+	idle    []*workerProc // guarded by mu
+	starts  int           // guarded by mu
+	crashes int           // guarded by mu
+	nextID  int           // guarded by mu
+	closed  bool          // guarded by mu
 }
 
 // NewWorkerPool creates a pool; workers start lazily on first lease.

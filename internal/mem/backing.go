@@ -97,7 +97,7 @@ type Image struct {
 	// objects get reused never changes a result, but a pool the garbage
 	// collector empties would make allocation counts vary from run to run.
 	mu   sync.Mutex
-	free []*page // vrlint:guardedby mu
+	free []*page // guarded by mu
 }
 
 // Snapshot freezes the backing's current contents into a shared Image.

@@ -525,8 +525,8 @@ func TestDeriveStats(t *testing.T) {
 	if d.TotalOffChip != 1 {
 		t.Errorf("TotalOffChip = %d", d.TotalOffChip)
 	}
-	if d.AvgMLP <= 0 {
-		t.Errorf("AvgMLP = %f", d.AvgMLP)
+	if d.MLP <= 0 {
+		t.Errorf("MLP = %f", d.MLP)
 	}
 }
 
