@@ -5,23 +5,44 @@ import (
 	"testing"
 )
 
-// TestImageDigests pins the memory images the hpc-db kernels build at
-// default scale, and small BC instances' (whose depth array is filled
-// like the hpc-db tables), by their mem.Image digests. The validators
-// regenerate their inputs on their own, so they check what a kernel
-// computes from its image but not the image itself; these digests do. The
-// images must come out the same at every GOMAXPROCS. hj2 and hj8 share
-// their seed and layout, so their images are equal.
+// TestImageDigests pins memory images by their mem.Image digests: the
+// hpc-db kernels' at default scale, and small BC, BFS, CC, PR and SSSP
+// instances on KR and UR graphs, at GOMAXPROCS 1, 2, 3 and 8, since the
+// hpc-db tables and BC's depth array are filled a run of pages per
+// goroutine and the graphs are synthesized on every core; and the four
+// GAP kernels vrperf's gap-graphs runs at default scale, once, at the
+// test's own GOMAXPROCS, since TestGeneratorDigests already pins their
+// graphs at all four. The hpc-db validators regenerate their inputs on
+// their own, so they check what a kernel computes from its image but not
+// the image itself; these digests do. hj2 and hj8 share their seed and
+// layout, so their images are equal.
 func TestImageDigests(t *testing.T) {
+	type pin struct {
+		name  string
+		build func() *Workload
+		want  string
+	}
 	defaults := map[string]func() *Workload{}
 	for _, b := range Builders() {
 		defaults[b.Name] = b.Build
 	}
-	cases := []struct {
-		name  string
-		build func() *Workload
-		want  string
-	}{
+	check := func(procs int, c pin) {
+		t.Helper()
+		w := c.build()
+		w.Fresh()
+		if got := w.image.Digest(); got != c.want {
+			t.Errorf("GOMAXPROCS %d: %s: image digest %s, want %s", procs, c.name, got, c.want)
+		}
+	}
+	for _, c := range []pin{
+		{"bfs_kr", defaults["bfs_kr"], "ff3cff71af5c403e53d8e681b2b462a6a2e4548c632b6e61144ce4259d6b2b29"},
+		{"pr_kr", defaults["pr_kr"], "e2a6bc4b39317b596304401a4efbb9137bfc8fb7752d7720a5beef3a46b02fd0"},
+		{"cc_ur", defaults["cc_ur"], "404b5ad095cf5b3b317d4916b634b7ec4d5ef1257a6823a70bfa78022a91a121"},
+		{"sssp_ur", defaults["sssp_ur"], "329990b034a5802bbdb2c9dc55411f100c8e477e70786d50fb4ff638f5c172db"},
+	} {
+		check(runtime.GOMAXPROCS(0), c)
+	}
+	everyProcs := []pin{
 		{"camel", defaults["camel"], "1bc95b429dfed2be683b92a6e845e81174e928571d7f2574983b70905a73421c"},
 		{"kangaroo", defaults["kangaroo"], "7191e98a1ffd5c2c4d2b48b406d205645c79fff51bdfea6c59de93d3fbeef581"},
 		{"hj2", defaults["hj2"], "0794d209e3face97cd21254d661fa2058f3c49130955f7e9c68dbee450a6b711"},
@@ -31,16 +52,20 @@ func TestImageDigests(t *testing.T) {
 		{"randomaccess", defaults["randomaccess"], "dcaa53af3ca6b578915e659a443d1677aca84b38a0b634b368eba6f8ef0a2bc3"},
 		{"BC(10,kr)", func() *Workload { return BC(10, GraphKron, "kr") }, "d047892497e7216777249ac94eebb5167a85910841ce4c3d11e3c84942b8d074"},
 		{"BC(10,ur)", func() *Workload { return BC(10, GraphUniform, "ur") }, "433f9d7b44c7efa7fc35aea7b0036d85e2391d4b179c512789844983db676300"},
+		{"BFS(10,kr)", func() *Workload { return BFS(10, GraphKron, "kr") }, "119c5307726990b62375bb6eb9ccabb507ae5baf84c4ac783bdad7c55f8febfd"},
+		{"BFS(10,ur)", func() *Workload { return BFS(10, GraphUniform, "ur") }, "a1659837cf29f07bdf75d491e564fded15b2e781887301d88dda39df9731f3a2"},
+		{"CC(9,kr)", func() *Workload { return CC(9, GraphKron, "kr") }, "fc17040326a89ac2e164965feb9664efa1c81823fcb1ee6776d20535fede1e9d"},
+		{"CC(9,ur)", func() *Workload { return CC(9, GraphUniform, "ur") }, "a0841e2f055bf8a78f88d5556091a2b9b52f83e3180a43842f87cbc33e9babac"},
+		{"PR(10,kr)", func() *Workload { return PR(10, GraphKron, "kr") }, "c7e00edcca7e9e94ec6f0f86d0b602bd5c78b2e5c8e724f4c07bd1160084d1eb"},
+		{"PR(10,ur)", func() *Workload { return PR(10, GraphUniform, "ur") }, "de0dabb836c262def09d81c49be6205551170f7e1f6a18486180c334bac50e77"},
+		{"SSSP(9,kr)", func() *Workload { return SSSP(9, GraphKron, "kr") }, "7f5bc9058de373e1d2a4adb6d2c9fc351da8e360dfafd989d7eff06a45bae504"},
+		{"SSSP(9,ur)", func() *Workload { return SSSP(9, GraphUniform, "ur") }, "0f0cc3da225bdc211b3f36435e9932f7a5c841a4890f3a2c579d72a47cb2575b"},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
-		for _, c := range cases {
-			w := c.build()
-			w.Fresh()
-			if got := w.image.Digest(); got != c.want {
-				t.Errorf("GOMAXPROCS %d: %s: image digest %s, want %s", procs, c.name, got, c.want)
-			}
+		for _, c := range everyProcs {
+			check(procs, c)
 		}
 	}
 }
