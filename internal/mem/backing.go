@@ -41,10 +41,11 @@ type page = [PageWords]uint64
 
 // region is one 2 MiB span of a backing: a ref per page (nil = never
 // written, reads as zero) and a bitmap of the pages this backing owns.
-// Pages it does not own are shared with an Image and read-only: Store
-// copies one before its first write (copy-on-write). Pages faulted in by
-// Store are owned from birth. Release hands the owned pages, and only
-// those, back to the image the backing was seeded from.
+// Pages it does not own are shared with an Image or adopted from a
+// caller's slice (Adopt), and read-only: Store copies one before its
+// first write (copy-on-write). Pages faulted in by Store are owned from
+// birth. Release hands the owned pages, and only those, back to the
+// image the backing was seeded from.
 type region struct {
 	pages [regionPages]*page
 	owned [regionPages / 64]uint64
@@ -185,35 +186,47 @@ func (b *Backing) Store(addr, val uint64) {
 	b.writable(addr)[(addr>>3)&(PageWords-1)] = val
 }
 
-// StoreSlice writes vals as consecutive 64-bit words starting at addr
-// (aligned down), copying one page span at a time.
-func (b *Backing) StoreSlice(addr uint64, vals []uint64) {
-	b.Span(addr, len(vals), func(words []uint64) {
-		vals = vals[copy(words, vals):]
-	})
-}
-
-// Span hands visit the n consecutive 64-bit words starting at addr
-// (aligned down) page by page, in address order: each slice is the part
-// of one page the span covers, so a span that starts on a page boundary
-// visits PageWords words in every slice but its last. Each page is made
-// this backing's own once, as Store makes it: a missing page is
-// allocated and a page shared with an image is copied. Writing a slice
-// writes the backing, during visit or after it, until a Snapshot shares
-// its page with an image; it must not be written after that. Distinct
-// slices may be written from distinct goroutines.
-func (b *Backing) Span(addr uint64, n int, visit func(words []uint64)) {
-	for off := int(addr>>3) & (PageWords - 1); n > 0; off = 0 {
-		m := min(n, PageWords-off)
-		visit(b.writable(addr)[off : off+m])
-		n -= m
+// Adopt hands vals to the backing as the consecutive 64-bit words
+// starting at addr (aligned down). Each page the span covers whole, where
+// the backing holds no page yet, becomes a window onto vals itself:
+// nothing is allocated or copied, and the backing holds the page as it
+// holds an image's, so Store copies it before writing, Snapshot shares
+// it and Release never hands it on. The partial first and last pages,
+// and pages the backing already holds, are copied into as Store writes
+// them. The caller must not write vals afterwards.
+func (b *Backing) Adopt(addr uint64, vals []uint64) {
+	for off := int(addr>>3) & (PageWords - 1); len(vals) > 0; off = 0 {
+		m := min(len(vals), PageWords-off)
+		if m < PageWords || !b.share(addr, (*page)(vals)) {
+			copy(b.writable(addr)[off:off+m], vals[:m])
+		}
+		vals = vals[m:]
 		addr += uint64(m) * 8
 	}
 }
 
+// share makes p the page holding addr, not owned, and reports whether it
+// did: it does only where the backing holds no page yet.
+func (b *Backing) share(addr uint64, p *page) bool {
+	key := addr >> regionShift
+	r := b.lookup(key)
+	if r == nil {
+		r = new(region)
+		b.regions[key] = r
+		b.cache[key%regionSlots].r = r
+	}
+	i := (addr >> pageShift) & (regionPages - 1)
+	if r.pages[i] != nil {
+		return false
+	}
+	r.pages[i] = p
+	b.npages++
+	return true
+}
+
 // writable returns the page holding addr, owned by this backing: a
 // missing region or page is allocated, and a page shared with an image
-// is copied first.
+// or adopted from a caller is copied first.
 func (b *Backing) writable(addr uint64) *page {
 	key := addr >> regionShift
 	r := b.lookup(key)

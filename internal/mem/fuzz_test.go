@@ -3,6 +3,7 @@ package mem
 import (
 	"maps"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -52,15 +53,15 @@ func (m backingModel) matches(t *testing.T, b *Backing, what string) {
 	}
 }
 
-// FuzzBacking applies Store, StoreSlice, Load, Snapshot, NewBackingFrom,
-// Release and writes through Span in the order the input spells, four
-// bytes per op (op, base, offset, argument), and checks every Load
-// against a map of words. The release op hands the current backing's
-// pages back to its image and reseeds it from an image, which must then
-// read as that image; pages reused from a release must read as the image
-// or as zero. The span op takes a span's pages once and writes every word
-// through them, on a fresh backing or on one seeded from an image, which
-// must copy the pages it shares rather than write into them. Every image
+// FuzzBacking applies Store, Adopt, Load, Snapshot, NewBackingFrom and
+// Release in the order the input spells, four bytes per op (op, base,
+// offset, argument), and checks every Load against a map of words. The
+// release op hands the current backing's pages back to its image and
+// reseeds it from an image, which must then read as that image; pages
+// reused from a release must read as the image or as zero. The adopt op
+// hands a slice over, on a fresh backing or on one seeded from an image:
+// whole pages the backing lacks become the slice's memory, so no later op
+// may write the slice, which the end checks against a copy. Every image
 // must keep reading as it did when it was taken, and Footprint must be
 // 4 KiB per distinct page written. An input runs at most maxOps ops and
 // takes at most maxImages snapshots, which keeps the model's copies and
@@ -83,20 +84,27 @@ func FuzzBacking(f *testing.F) {
 		0, 5, 0x90, 9, 4, 0, 0, 0, 2, 6, 0, 0, 1, 1, 0xf0, 150, 5, 0, 0, 0,
 	})
 	f.Add([]byte{
-		7, 2, 0xc0, 200, 7, 6, 0x80, 90, 5, 0, 0, 0, // spans across a region edge and across 2^63
-		3, 0, 0, 0, 4, 0, 0, 0, 7, 2, 0x40, 200, 5, 0, 0, 0, // snapshot, reseed, write two shared pages through a span
-		0, 1, 0, 0, 7, 1, 0xf0, 30, 2, 2, 0x60, 0, 6, 0, 0, 0, // an owned page and a new one, release, reseed
+		1, 2, 0xc0, 200, 1, 6, 0x80, 90, 5, 0, 0, 0, // slices across a region edge and across 2^63
+		3, 0, 0, 0, 4, 0, 0, 0, 1, 2, 0x40, 200, 5, 0, 0, 0, // snapshot, reseed, copy into two shared pages
+		0, 1, 0, 0, 1, 1, 0xf0, 30, 2, 2, 0x60, 0, 6, 0, 0, 0, // an owned page and a new one, release, reseed
+	})
+	f.Add([]byte{
+		1, 1, 0, 176, 0, 1, 0x10, 0, 3, 0, 0, 0, // adopt page 1 whole, store into it, snapshot
+		6, 0, 0, 0, 1, 3, 0, 248, 0, 1, 0x20, 0, // release, reseed, adopt region 9's first page whole, store into page 1
+		6, 0, 0, 0, 0, 1, 0x30, 0, 0, 3, 0x10, 0, 0, 0, 0, 0, // release, reseed, store into three reused pages
+		3, 0, 0, 0, 6, 1, 0, 0, 0, 1, 0x40, 0, 5, 0, 0, 0, // snapshot, release, reseed from it, store again
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		b := NewBacking()
 		model := backingModel{words: map[uint64]uint64{}, pages: map[uint64]bool{}}
 		var images []*Image
 		var imageModels []backingModel
+		var adopted, copies [][]uint64
 		for i := 0; i+4 <= min(len(ops), 4*maxOps); i += 4 {
 			op, base, off, arg := ops[i], ops[i+1], ops[i+2], ops[i+3]
 			addr := fuzzBases[int(base)%len(fuzzBases)] + uint64(int64(int8(off))*8) + uint64(arg&7)
 			val := uint64(i+1) * 0x9e3779b97f4a7c15
-			switch op % 8 {
+			switch op % 7 {
 			case 0:
 				b.Store(addr, val)
 				model.store(addr, val)
@@ -106,7 +114,8 @@ func FuzzBacking(f *testing.F) {
 					vals[j] = val + uint64(j)
 					model.store(addr+uint64(j)*8, vals[j])
 				}
-				b.StoreSlice(addr, vals)
+				b.Adopt(addr, vals)
+				adopted, copies = append(adopted, vals), append(copies, slices.Clone(vals))
 			case 2:
 				if got, want := b.Load(addr), model.words[addr&^7]; got != want {
 					t.Fatalf("op %d: Load(%#x) = %d, want %d", i/4, addr, got, want)
@@ -131,23 +140,16 @@ func FuzzBacking(f *testing.F) {
 					b, model = NewBackingFrom(images[k]), imageModels[k].clone()
 					model.matches(t, b, "reseeded backing")
 				}
-			case 7:
-				j := 0
-				b.Span(addr, int(arg)*3, func(words []uint64) {
-					for w := range words {
-						words[w] = val + uint64(j)
-						model.store(addr+uint64(j)*8, words[w])
-						j++
-					}
-				})
-				if j != int(arg)*3 {
-					t.Fatalf("op %d: Span(%#x, %d) covers %d words", i/4, addr, int(arg)*3, j)
-				}
 			}
 		}
 		model.matches(t, b, "backing at the end")
 		for k, img := range images {
 			imageModels[k].matches(t, NewBackingFrom(img), "image")
+		}
+		for k, vals := range adopted {
+			if !slices.Equal(vals, copies[k]) {
+				t.Fatalf("adopted slice %d was written after Adopt", k)
+			}
 		}
 	})
 }

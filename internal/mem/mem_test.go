@@ -39,7 +39,7 @@ func TestBackingRoundTrip(t *testing.T) {
 func TestBackingSlices(t *testing.T) {
 	b := NewBacking()
 	vals := []uint64{1, 2, 3, 4, 5}
-	b.StoreSlice(0x2000, vals)
+	b.Adopt(0x2000, vals)
 	got := b.LoadSlice(0x2000, 5)
 	for i := range vals {
 		if got[i] != vals[i] {
@@ -122,15 +122,17 @@ func TestBackingCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestStoreSliceMatchesStore: StoreSlice leaves a backing exactly as
-// per-word Stores would, on spans that start mid-page (one at an
-// unaligned address) and cross several page boundaries, into a fresh
-// backing and into one seeded from an image. Stores first write a few
-// pages in an order unlike the spans', so the spans cross pages that are
-// owned, shared with the image and absent. The image never changes, a
-// later Store lands in the private copy StoreSlice made, and a StoreSlice
-// into pages the backing owns allocates nothing.
-func TestStoreSliceMatchesStore(t *testing.T) {
+// TestAdoptMatchesStore: Adopt leaves a backing exactly as per-word
+// Stores would, on spans that start mid-page (one at an unaligned
+// address) and cross several page boundaries, into a fresh backing and
+// into one seeded from an image. Stores first write a few pages in an
+// order unlike the spans', so the spans cross pages that are owned,
+// shared with the image and absent. The image never changes, a later
+// Store lands in a private copy, and an Adopt into pages the backing
+// owns allocates nothing. A page-aligned span over absent pages takes
+// the caller's memory as its pages and allocates none, and no Store,
+// Snapshot, Release or reseeded backing ever writes the caller's slice.
+func TestAdoptMatchesStore(t *testing.T) {
 	const base = 0x40000
 	word := func(pg, i int) uint64 { return base + uint64(pg)<<pageShift + uint64(i)*8 }
 	spans := []struct {
@@ -162,30 +164,86 @@ func TestStoreSliceMatchesStore(t *testing.T) {
 			for i := range vals {
 				vals[i] = uint64(k+1)<<40 | uint64(i)
 			}
-			got.StoreSlice(sp.addr, vals)
+			got.Adopt(sp.addr, vals)
 			for i, v := range vals {
 				want.Store(sp.addr+uint64(i)*8, v)
 			}
 		}
 		if !slices.Equal(got.LoadSlice(base, 9*PageWords), want.LoadSlice(base, 9*PageWords)) {
-			t.Fatal("StoreSlice differs from per-word Store")
+			t.Fatal("Adopt differs from per-word Store")
 		}
 		if got.Footprint() != want.Footprint() {
 			t.Fatalf("footprint %d, want %d", got.Footprint(), want.Footprint())
 		}
-		for _, pg := range []int{0, 4} {
+		for _, pg := range []int{0, 4, 6} {
 			got.Store(word(pg, 200), 99)
 			if got.Load(word(pg, 200)) != 99 || got.Load(word(pg, 201)) != want.Load(word(pg, 201)) {
-				t.Fatalf("page %d: a Store after StoreSlice missed its private copy", pg)
+				t.Fatalf("page %d: a Store after Adopt missed its private copy", pg)
 			}
 		}
 		if !slices.Equal(NewBackingFrom(img).LoadSlice(base, 9*PageWords), imageWords) {
-			t.Fatal("StoreSlice wrote through into the image")
+			t.Fatal("Adopt wrote through into the image")
 		}
 		vals := make([]uint64, 3*PageWords)
-		if n := testing.AllocsPerRun(5, func() { got.StoreSlice(word(1, 7), vals) }); n != 0 {
-			t.Errorf("StoreSlice into owned pages allocates %.0f times, want 0", n)
+		if n := testing.AllocsPerRun(5, func() { got.Adopt(word(1, 7), vals) }); n != 0 {
+			t.Errorf("Adopt into owned pages allocates %.0f times, want 0", n)
 		}
+	}
+
+	// Pages 8 and 9 are absent from the image and from both backings.
+	for _, fresh := range []func() *Backing{NewBacking, func() *Backing { return NewBackingFrom(img) }} {
+		b := fresh()
+		vals := make([]uint64, 2*PageWords)
+		for i := range vals {
+			vals[i] = uint64(i) * 3
+		}
+		handed := slices.Clone(vals)
+		unchanged := func(what string) {
+			t.Helper()
+			if !slices.Equal(vals, handed) {
+				t.Fatalf("%s wrote the adopted slice", what)
+			}
+		}
+		footprint := b.Footprint()
+		b.Adopt(word(8, 0), vals)
+		for k := range 2 {
+			addr := word(8+k, 0)
+			r, i := b.regions[addr>>regionShift], (addr>>pageShift)&(regionPages-1)
+			if r.pages[i] != (*page)(vals[k*PageWords:]) || r.owned[i/64]&(1<<(i%64)) != 0 {
+				t.Fatalf("page %d: Adopt of a whole absent page did not share the caller's memory", 8+k)
+			}
+		}
+		if got := b.Footprint() - footprint; got != 2<<pageShift {
+			t.Fatalf("Adopt of two whole pages grew the footprint by %d bytes", got)
+		}
+		b.Store(word(8, 5), 1234)
+		if b.Load(word(8, 5)) != 1234 || b.Load(word(8, 6)) != handed[6] {
+			t.Fatal("a Store into an adopted page missed its private copy")
+		}
+		unchanged("a Store")
+		snap := b.Snapshot()
+		if got := NewBackingFrom(snap).LoadSlice(word(8, 0), 2*PageWords); got[5] != 1234 || !slices.Equal(got[6:], handed[6:]) {
+			t.Fatal("a snapshot does not read the adopted words")
+		}
+		// A backing seeded from the snapshot copies the adopted page it
+		// stores into, and its release hands back that copy alone.
+		c := NewBackingFrom(snap)
+		c.Store(word(9, 1), 5)
+		c.Release()
+		unchanged("a Store into a snapshot's adopted page")
+		// Through the source backing, the Store's copy and every page it
+		// owns go back to its image, and the adopted page stays out:
+		// stores into more pages than the free list holds take them all.
+		b.Store(word(9, 2), 6)
+		b.Release()
+		for _, from := range []*Image{img, snap} {
+			d := NewBackingFrom(from)
+			for pg := range 16 {
+				d.Store(word(pg, 9), 8)
+			}
+			d.Release()
+		}
+		unchanged("a release, reseed and Store")
 	}
 }
 

@@ -33,25 +33,20 @@ func buildGraph(kind GraphKind, scale, edgeFactor int, weighted bool, seed uint6
 	}
 }
 
-// csrBases records where a CSR graph lives in simulated memory.
+// csrBases records where an unweighted CSR graph lives in simulated
+// memory.
 type csrBases struct {
-	rowPtr, colIdx, weights uint64
+	rowPtr, colIdx uint64
 }
 
-// placeCSR reserves space and returns a function that writes the graph.
+// placeCSR reserves space and returns a function that hands the graph's
+// arrays to the image, which makes them read-only: the validators read
+// the same memory as the kernel's image.
 func placeCSR(l *layout, g *graph.CSR) (csrBases, func(d *mem.Backing)) {
-	var bs csrBases
-	bs.rowPtr = l.array(len(g.RowPtr))
-	bs.colIdx = l.array(len(g.ColIdx))
-	if g.Weights != nil {
-		bs.weights = l.array(len(g.Weights))
-	}
+	bs := csrBases{rowPtr: l.array(len(g.RowPtr)), colIdx: l.array(len(g.ColIdx))}
 	write := func(d *mem.Backing) {
-		d.StoreSlice(bs.rowPtr, g.RowPtr)
-		d.StoreSlice(bs.colIdx, g.ColIdx)
-		if g.Weights != nil {
-			d.StoreSlice(bs.weights, g.Weights)
-		}
+		d.Adopt(bs.rowPtr, g.RowPtr)
+		d.Adopt(bs.colIdx, g.ColIdx)
 	}
 	return bs, write
 }
@@ -369,9 +364,9 @@ func CC(scale int, kind GraphKind, tag string) *Workload {
 	b.Halt()
 
 	fill := func(d *mem.Backing) {
-		d.StoreSlice(baseSrc, srcs)
-		d.StoreSlice(baseDst, dsts)
-		d.StoreSlice(baseComp, initComp)
+		d.Adopt(baseSrc, srcs)
+		d.Adopt(baseDst, dsts)
+		d.Adopt(baseComp, initComp)
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		comp := make([]uint64, n)
@@ -413,15 +408,13 @@ func PR(scale int, kind GraphKind, tag string) *Workload {
 	const damping = 0.85
 	contrib := make([]uint64, n)
 	x := rng.New(44)
-	contribF := make([]float64, n)
 	for v := 0; v < n; v++ {
 		r := float64(x.Next()%1000) / 1000
 		d := g.Degree(v)
 		if d == 0 {
 			d = 1
 		}
-		contribF[v] = r / float64(d)
-		contrib[v] = f64bits(contribF[v])
+		contrib[v] = f64bits(r / float64(d))
 	}
 
 	l := newLayout()
@@ -475,13 +468,13 @@ func PR(scale int, kind GraphKind, tag string) *Workload {
 
 	fill := func(d *mem.Backing) {
 		writeCSR(d)
-		d.StoreSlice(baseContrib, contrib)
+		d.Adopt(baseContrib, contrib)
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		for u := 0; u < n; u++ {
 			acc := 0.0
 			for _, v := range g.Neighbors(u) {
-				acc += contribF[v]
+				acc += f64frombits(contrib[v])
 			}
 			want := acc*damping + (1-damping)/float64(n)
 			if got := f64frombits(d.Load(baseRank + uint64(u)*8)); got != want {
@@ -588,10 +581,10 @@ func SSSP(scale int, kind GraphKind, tag string) *Workload {
 	b.Halt()
 
 	fill := func(d *mem.Backing) {
-		d.StoreSlice(baseSrc, srcs)
-		d.StoreSlice(baseDst, dsts)
-		d.StoreSlice(baseW, wts)
-		d.StoreSlice(baseDist, initDist)
+		d.Adopt(baseSrc, srcs)
+		d.Adopt(baseDst, dsts)
+		d.Adopt(baseW, wts)
+		d.Adopt(baseDist, initDist)
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		dist := make([]uint64, n)
@@ -748,11 +741,11 @@ func BC(scale int, kind GraphKind, tag string) *Workload {
 
 	fill := func(d *mem.Backing) {
 		writeCSR(d)
-		d.Span(baseDepth, n, func(page []uint64) {
-			for w := range page {
-				page[w] = inf
-			}
-		})
+		depth := make([]uint64, n)
+		for v := range depth {
+			depth[v] = inf
+		}
+		d.Adopt(baseDepth, depth)
 	}
 	validate := func(d *mem.Backing, _ [isa.NumRegs]uint64) error {
 		// Replicate the exact algorithm (including FP operation order).

@@ -375,13 +375,11 @@ func NASCG(rows, nnzPerRow int) *Workload {
 	b.Halt()
 
 	fill := func(d *mem.Backing) {
-		r := 0
-		d.Span(baseRp, rows+1, func(page []uint64) {
-			for w := range page {
-				page[w] = uint64(r * nnzPerRow)
-				r++
-			}
-		})
+		rp := make([]uint64, rows+1)
+		for r := range rp {
+			rp[r] = uint64(r * nnzPerRow)
+		}
+		d.Adopt(baseRp, rp)
 		drawPages(d, 404, 0, nnz, []uint64{baseCol, baseVal}, func(s uint64, page [][]uint64) uint64 {
 			col, val := page[0], page[1]
 			for w := range col {

@@ -85,32 +85,48 @@ func (l *layout) array(n int) uint64 {
 	return base
 }
 
-// drawPages writes n-element arrays from seed's xorshift stream: element
-// i of the arrays at bases takes the len(bases) draws after draw
-// skip+len(bases)·i, one per array in order. It takes every array's pages
-// once (mem.Backing.Span) and hands contiguous runs of page indices to
-// GOMAXPROCS goroutines, each of which jumps its stream once, to its
-// run's first draw, and then calls fill on each page index of its run:
-// fill writes page[j], that page of the array at bases[j], drawing after
-// state s, and returns the state it leaves. Page k of every array holds
+// drawPages writes n-element arrays from seed's xorshift stream and
+// hands them to d: element i of the arrays at bases takes the len(bases)
+// draws after draw skip+len(bases)·i, one per array in order. It hands
+// contiguous runs of page indices to GOMAXPROCS goroutines. Each
+// allocates its run of every array as one slice, jumps its stream once,
+// to its run's first draw, and then calls fill on each page index of its
+// run: fill writes page[j], that page of the array at bases[j], drawing
+// after state s, and returns the state it leaves. Once they return, the
+// runs are handed over (mem.Backing.Adopt). Page k of every array holds
 // elements k·mem.PageWords on, since the layout aligns arrays to pages,
 // so the image is the same at every GOMAXPROCS.
 func drawPages(d *mem.Backing, seed, skip uint64, n int, bases []uint64, fill func(s uint64, page [][]uint64) uint64) {
-	spans := make([][][]uint64, len(bases))
-	for j, base := range bases {
-		spans[j] = make([][]uint64, 0, (n+mem.PageWords-1)/mem.PageWords)
-		d.Span(base, n, func(words []uint64) { spans[j] = append(spans[j], words) })
+	pages := (n + mem.PageWords - 1) / mem.PageWords
+	// runs[j][k] is the run of array j that starts at page k, if one does.
+	runs := make([][][]uint64, len(bases))
+	for j := range runs {
+		runs[j] = make([][]uint64, pages)
 	}
-	rng.Chunks(len(spans[0]), func(lo, hi int) {
-		s := rng.Jump(rng.Seed(seed), skip+uint64(len(bases)*lo*mem.PageWords))
+	rng.Chunks(pages, func(lo, hi int) {
+		if lo == hi {
+			return
+		}
+		first, last := lo*mem.PageWords, min(hi*mem.PageWords, n)
+		for j := range runs {
+			runs[j][lo] = make([]uint64, last-first)
+		}
+		s := rng.Jump(rng.Seed(seed), skip+uint64(len(bases)*first))
 		page := make([][]uint64, len(bases))
-		for k := lo; k < hi; k++ {
-			for j := range spans {
-				page[j] = spans[j][k]
+		for w := 0; w < last-first; w += mem.PageWords {
+			for j := range runs {
+				page[j] = runs[j][lo][w:min(w+mem.PageWords, last-first)]
 			}
 			s = fill(s, page)
 		}
 	})
+	for j, base := range bases {
+		for k, run := range runs[j] {
+			if run != nil {
+				d.Adopt(base+uint64(k*mem.PageWords*8), run)
+			}
+		}
+	}
 }
 
 // checkRange compares a memory range against expected values.

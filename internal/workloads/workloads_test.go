@@ -7,10 +7,14 @@ import (
 	"vrsim/internal/isa"
 )
 
-// runAndValidate executes a workload functionally and checks its validator.
+// runAndValidate executes a workload functionally and checks its
+// validator. The image must digest the same after the run and the
+// validator as before them: the GAP validators read the arrays the image
+// adopted, so neither a run nor a validator may write them.
 func runAndValidate(t *testing.T, w *Workload) *isa.Interp {
 	t.Helper()
 	d := w.Fresh()
+	before := w.image.Digest()
 	it := isa.NewInterp(w.Prog, d)
 	if err := it.Run(500_000_000); err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
@@ -20,6 +24,9 @@ func runAndValidate(t *testing.T, w *Workload) *isa.Interp {
 	}
 	if err := w.Validate(d, it.Regs); err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
+	}
+	if after := w.image.Digest(); after != before {
+		t.Fatalf("%s: image digest %s after the run and the validator, %s before", w.Name, after, before)
 	}
 	return it
 }
