@@ -65,7 +65,7 @@ type Diagnostic struct {
 	Position token.Position
 	Message  string
 	// Suppressed marks findings silenced by a //vrlint:allow annotation.
-	// Diagnostics() drops them; AllDiagnostics() keeps them flagged, which
+	// RunAnalyzer drops them; AllDiagnostics() keeps them flagged, which
 	// is how `vrlint -json` reports the suppression inventory.
 	Suppressed bool
 }
@@ -82,13 +82,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Position: p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// Diagnostics returns the findings the pass reported, with suppressed
-// ones (see the //vrlint:allow annotation) already removed, sorted by
-// position.
-func (p *Pass) Diagnostics() []Diagnostic {
-	return dropSuppressed(p.AllDiagnostics())
 }
 
 // AllDiagnostics returns every finding, including suppressed ones (with

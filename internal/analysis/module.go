@@ -70,12 +70,6 @@ func (p *ModulePass) allFiles() []*ast.File {
 	return files
 }
 
-// Diagnostics returns the findings the pass reported, with suppressed
-// ones already removed, sorted by position.
-func (p *ModulePass) Diagnostics() []Diagnostic {
-	return dropSuppressed(p.AllDiagnostics())
-}
-
 // AllDiagnostics returns every finding, including suppressed ones (with
 // Suppressed set), sorted by position.
 func (p *ModulePass) AllDiagnostics() []Diagnostic {
