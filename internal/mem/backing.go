@@ -309,8 +309,8 @@ func (b *Backing) LoadSlice(addr uint64, n int) []uint64 {
 	return out
 }
 
-// Footprint returns the number of bytes of allocated pages, a proxy for
-// the workload's touched data size.
+// Footprint returns the number of bytes of the pages the backing holds,
+// adopted ones included, a proxy for the workload's touched data size.
 func (b *Backing) Footprint() uint64 {
 	return b.npages << pageShift
 }

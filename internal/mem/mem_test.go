@@ -225,16 +225,15 @@ func TestAdoptMatchesStore(t *testing.T) {
 		if got := NewBackingFrom(snap).LoadSlice(word(8, 0), 2*PageWords); got[5] != 1234 || !slices.Equal(got[6:], handed[6:]) {
 			t.Fatal("a snapshot does not read the adopted words")
 		}
-		// A backing seeded from the snapshot copies the adopted page it
-		// stores into, and its release hands back that copy alone.
+		// A release hands back only the pages a backing owns: b's new
+		// copy of page 8 but not adopted page 9, and the copy of page 9
+		// a backing seeded from the snapshot made. Stores into more pages
+		// than the free lists hold then reuse every page they hold.
+		b.Store(word(8, 7), 6)
 		c := NewBackingFrom(snap)
 		c.Store(word(9, 1), 5)
-		c.Release()
 		unchanged("a Store into a snapshot's adopted page")
-		// Through the source backing, the Store's copy and every page it
-		// owns go back to its image, and the adopted page stays out:
-		// stores into more pages than the free list holds take them all.
-		b.Store(word(9, 2), 6)
+		c.Release()
 		b.Release()
 		for _, from := range []*Image{img, snap} {
 			d := NewBackingFrom(from)

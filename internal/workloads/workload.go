@@ -28,7 +28,9 @@ type Workload struct {
 	Name string
 	// Prog is the kernel.
 	Prog *isa.Program
-	// Init writes the initial memory image.
+	// Init writes the initial memory image. The arrays it hands over
+	// (mem.Backing.Adopt) become the image's pages, so nothing may write
+	// them afterwards, the validator included.
 	Init func(d *mem.Backing)
 	// Validate recomputes the kernel natively and checks the final memory
 	// image and registers; it returns an error describing any mismatch.
