@@ -216,6 +216,13 @@ func TestAdoptMatchesStore(t *testing.T) {
 		if got := b.Footprint() - footprint; got != 2<<pageShift {
 			t.Fatalf("Adopt of two whole pages grew the footprint by %d bytes", got)
 		}
+		spare, next := make([]uint64, 12*PageWords), 0
+		if n := testing.AllocsPerRun(5, func() {
+			b.Adopt(word(16+next, 0), spare[next*PageWords:(next+2)*PageWords])
+			next += 2
+		}); n != 0 {
+			t.Errorf("Adopt of two whole absent pages allocates %.0f times, want 0", n)
+		}
 		b.Store(word(8, 5), 1234)
 		if b.Load(word(8, 5)) != 1234 || b.Load(word(8, 6)) != handed[6] {
 			t.Fatal("a Store into an adopted page missed its private copy")
