@@ -235,6 +235,26 @@ func TestCellKey(t *testing.T) {
 	}
 }
 
+// TestCellKeyPinned pins two cell identities as the wire encoding gave
+// them when they were recorded. Journals written since then key their
+// records by these hashes, so a change to a wireCell field, or a new one
+// that the encoding does not omit, would make every resumed campaign
+// re-simulate instead of replaying.
+func TestCellKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		workload string
+		tech     Technique
+		want     string
+	}{
+		{"camel", TechOoO, "1ef9ea860df1a022e57473b7e2461f6f5a348ce7434b396a75971f5887712ef5"},
+		{"cc_ur", TechVR, "2bdb304b8c87e78ccf1345d5b6d0f2e0659b3e7245b6c2d3266e547a346ebc46"},
+	} {
+		if got := cellKey(c.workload, DefaultRunConfig(c.tech)); got != c.want {
+			t.Errorf("cellKey(%s, %s) = %s, want %s", c.workload, c.tech, got, c.want)
+		}
+	}
+}
+
 // TestReuseSkipsCellsWithoutIdentity: cells whose configuration sets
 // NewPredictor are never reused, and a journal without a file holds every
 // outcome it is given without writing anywhere.
