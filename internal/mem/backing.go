@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/bits"
-	"slices"
 	"sync"
 )
 
@@ -122,25 +121,15 @@ func (b *Backing) Snapshot() *Image {
 // digest alike exactly when they hold the same pages with the same
 // words.
 func (img *Image) Digest() string {
-	keys := make([]uint64, 0, len(img.regions))
-	for k := range img.regions { //vrlint:allow simdet -- collect-then-sort: order is normalized below
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
 	h := sha256.New()
 	var buf [8 * (1 + PageWords)]byte
-	for _, k := range keys {
-		for i, p := range img.regions[k] {
-			if p == nil {
-				continue
-			}
-			binary.LittleEndian.PutUint64(buf[:], k<<(regionShift-pageShift)|uint64(i))
-			for w, v := range p {
-				binary.LittleEndian.PutUint64(buf[8*(1+w):], v)
-			}
-			h.Write(buf[:])
+	img.pages(func(pn uint64, p *page) {
+		binary.LittleEndian.PutUint64(buf[:], pn)
+		for w, v := range p {
+			binary.LittleEndian.PutUint64(buf[8*(1+w):], v)
 		}
-	}
+		h.Write(buf[:])
+	})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
