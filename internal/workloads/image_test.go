@@ -1,8 +1,13 @@
 package workloads
 
 import (
+	"fmt"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"vrsim/internal/isa"
 )
 
 // TestImageDigests pins memory images by their mem.Image digests: the
@@ -88,6 +93,58 @@ func TestSmallImagesAtEveryGOMAXPROCS(t *testing.T) {
 			} else if got != want {
 				t.Errorf("GOMAXPROCS %d: %s: image digest %s, at GOMAXPROCS 1 %s", procs, w.Name, got, want)
 			}
+		}
+	}
+}
+
+// TestPublishOpenRoundTrip publishes the small images TestImageDigests
+// pins and the six hpc-db kernels vrperf runs, and opens each file: the
+// opened workload has the built one's program, metadata and image digest
+// and no Init or Validate, and a run from its image to Halt passes the
+// built workload's validator.
+func TestPublishOpenRoundTrip(t *testing.T) {
+	ws := []*Workload{
+		BC(10, GraphKron, "kr"), BC(10, GraphUniform, "ur"),
+		BFS(10, GraphKron, "kr"), BFS(10, GraphUniform, "ur"),
+		CC(9, GraphKron, "kr"), CC(9, GraphUniform, "ur"),
+		PR(10, GraphKron, "kr"), PR(10, GraphUniform, "ur"),
+		SSSP(9, GraphKron, "kr"), SSSP(9, GraphUniform, "ur"),
+	}
+	for _, name := range []string{"camel", "kangaroo", "hj2", "hj8", "nas-is", "randomaccess"} {
+		build, err := Builder(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, build())
+	}
+	dir := t.TempDir()
+	for i, w := range ws {
+		path := filepath.Join(dir, fmt.Sprint(i))
+		if err := Publish(path, w); err != nil {
+			t.Fatal(err)
+		}
+		o, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Name != w.Name || o.SuggestedBudget != w.SuggestedBudget || o.Nodes != w.Nodes ||
+			o.Edges != w.Edges || o.SkipInstrs != w.SkipInstrs || o.Init != nil || o.Validate != nil {
+			t.Errorf("%s: opened as %+v", w.Name, o)
+		}
+		if !reflect.DeepEqual(o.Prog, w.Prog) {
+			t.Errorf("%s: the opened program differs from the built one", w.Name)
+		}
+		o.Fresh()
+		if got, want := o.image.Digest(), w.image.Digest(); got != want {
+			t.Errorf("%s: opened image digests %s, built %s", w.Name, got, want)
+		}
+		d := o.Fresh()
+		it := isa.NewInterp(o.Prog, d)
+		if err := it.Run(500_000_000); err != nil || !it.Halted {
+			t.Fatalf("%s: run from the opened image: halted %v, %v", w.Name, it.Halted, err)
+		}
+		if err := w.Validate(d, it.Regs); err != nil {
+			t.Errorf("%s: run from the opened image: %v", w.Name, err)
 		}
 	}
 }

@@ -13,8 +13,10 @@
 package workloads
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"sync"
 
 	"vrsim/internal/isa"
@@ -62,12 +64,69 @@ type Workload struct {
 // released (the harness releases the stores of every cell that succeeds),
 // and later stores take them before allocating. Safe for concurrent use.
 func (w *Workload) Fresh() *mem.Backing {
+	return mem.NewBackingFrom(w.snapshot())
+}
+
+// snapshot returns the workload's memory image, running Init the first
+// time.
+func (w *Workload) snapshot() *mem.Image {
 	w.imageOnce.Do(func() {
 		d := mem.NewBacking()
 		w.Init(d)
 		w.image = d.Snapshot()
 	})
-	return mem.NewBackingFrom(w.image)
+	return w.image
+}
+
+// published is what a workload file holds besides the memory image:
+// every field a cell reads.
+type published struct {
+	Name            string
+	Prog            *isa.Program
+	SuggestedBudget uint64
+	Nodes, Edges    int
+	SkipInstrs      uint64
+}
+
+// Publish writes w's program, metadata and initial memory image to a new
+// file at path (mem.WriteImage), running Init if w has no image yet.
+// Open maps the file back.
+func Publish(path string, w *Workload) error {
+	meta, err := json.Marshal(published{
+		Name: w.Name, Prog: w.Prog, SuggestedBudget: w.SuggestedBudget,
+		Nodes: w.Nodes, Edges: w.Edges, SkipInstrs: w.SkipInstrs,
+	})
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := mem.WriteImage(f, meta, w.snapshot()); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// Open returns the workload Publish wrote to path. Its image is the
+// file's pages, mapped read-only (mem.MapImage), so every process that
+// opens the file shares one copy. It has no Init or Validate: Fresh
+// seeds backings from the mapped image.
+func Open(path string) (*Workload, error) {
+	meta, img, err := mem.MapImage(path)
+	if err != nil {
+		return nil, err
+	}
+	var p published
+	if err := json.Unmarshal(meta, &p); err != nil {
+		return nil, fmt.Errorf("workloads: %s: %w", path, err)
+	}
+	w := &Workload{Name: p.Name, Prog: p.Prog, SuggestedBudget: p.SuggestedBudget,
+		Nodes: p.Nodes, Edges: p.Edges, SkipInstrs: p.SkipInstrs}
+	w.imageOnce.Do(func() { w.image = img })
+	return w, nil
 }
 
 // layout hands out disjoint, widely separated array base addresses so
@@ -218,14 +277,22 @@ func ByName(name string) (*Workload, error) {
 		byNameCache[name] = e
 	}
 	byNameMu.Unlock()
-	e.once.Do(func() { e.w, e.err = buildByName(name) })
+	e.once.Do(func() {
+		var build func() *Workload
+		if build, e.err = Builder(name); e.err == nil {
+			e.w = build()
+		}
+	})
 	return e.w, e.err
 }
 
-func buildByName(name string) (*Workload, error) {
+// Builder returns the named default-scale workload's builder, which
+// builds it afresh on every call: unlike ByName, it memoizes nothing, so
+// the caller decides how long a build lives.
+func Builder(name string) (func() *Workload, error) {
 	for _, b := range Builders() {
 		if b.Name == name {
-			return b.Build(), nil
+			return b.Build, nil
 		}
 	}
 	return nil, fmt.Errorf("workloads: unknown workload %q", name)
