@@ -410,7 +410,7 @@ func FuzzWorkerProtocol(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	hb := frame(wireMsg{Type: msgHeartbeat, ID: 1, HeapAlloc: 123})
+	hb := frame(wireMsg{Type: msgHeartbeat, ID: 1, RSS: 123 << 20})
 	res := frame(wireMsg{Type: msgResult, ID: 1,
 		Result: &Result{Workload: "camel", Tech: TechOoO, Cycles: 10, Instrs: 5}})
 	failRes := frame(wireMsg{Type: msgResult, ID: 1,

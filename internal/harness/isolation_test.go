@@ -170,10 +170,19 @@ func TestIsolatedSetupErrorTravels(t *testing.T) {
 
 // TestWorkerCrashClassification is the taxonomy table test: fake workers
 // that exit nonzero, die by SIGSEGV, die by an un-sent SIGKILL (the OOM
-// signature), hang past the heartbeat deadline, and emit torn or garbled
+// signature, before and after a heartbeat whose resident set the error
+// reports), hang past the heartbeat deadline, and emit torn or garbled
 // frames must each classify as their typed error, always as a permanent
 // worker-phase failure.
 func TestWorkerCrashClassification(t *testing.T) {
+	var beat bytes.Buffer
+	if err := writeFrame(&beat, wireMsg{Type: msgHeartbeat, ID: 1, RSS: 7 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	beatPath := filepath.Join(t.TempDir(), "beat")
+	if err := os.WriteFile(beatPath, beat.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		command []string
@@ -183,6 +192,8 @@ func TestWorkerCrashClassification(t *testing.T) {
 		{"exit2", shWorker("exit 2"), ErrWorkerCrashed, "exit status 2"},
 		{"sigsegv", shWorker("kill -SEGV $$"), ErrWorkerCrashed, "signal"},
 		{"oom-sigkill", shWorker("kill -9 $$"), ErrWorkerOOM, "SIGKILL"},
+		{"oom-after-heartbeat", shWorker(fmt.Sprintf("cat %q; kill -9 $$", beatPath)), ErrWorkerOOM,
+			"resident set at last heartbeat 7340032 bytes (the worker's /proc/self/statm)"},
 		{"hang", shWorker("sleep 60"), ErrWorkerCrashed, "heartbeat"},
 		{"torn-frame", shWorker(`printf '\0\0\0\377torn'; exit 0`), ErrWorkerProtocol, "torn"},
 		{"garbled-json", shWorker(`printf '\0\0\0\002{]'; sleep 60`), ErrWorkerProtocol, "garbled"},

@@ -9,7 +9,7 @@
 //     supervisor-initiated kill of a worker that stopped heartbeating).
 //   - ErrWorkerOOM: the process died by a SIGKILL the supervisor did not
 //     send — on Linux the kernel OOM killer's signature — annotated with
-//     the heap size from the worker's last heartbeat as forensics.
+//     the resident set from the worker's last heartbeat as forensics.
 //   - ErrWorkerProtocol (wire.go): the byte stream itself was torn or
 //     garbled; the process may still be alive but cannot be trusted, so
 //     it is killed and reaped before the error is reported.
@@ -38,7 +38,7 @@ var ErrWorkerCrashed = errors.New("harness: worker crashed")
 
 // ErrWorkerOOM reports a worker killed by a SIGKILL the supervisor did
 // not send: the kernel OOM killer's signature. The error message carries
-// the last-heartbeat heap size as forensics.
+// the resident set size of the worker's last heartbeat as forensics.
 var ErrWorkerOOM = errors.New("harness: worker killed (probable OOM)")
 
 // workerEvent is one item from a worker's frame-reader goroutine: a
@@ -71,7 +71,7 @@ type workerProc struct {
 	// Dispatch-loop state: a workerProc executes one cell at a time, and
 	// only its current dispatcher touches these, so they need no lock.
 	killedByUs   bool   // the supervisor initiated this death
-	lastHeap     uint64 // HeapAlloc from the most recent heartbeat
+	lastRSS      uint64 // RSS from the most recent heartbeat
 	sawHeartbeat bool
 }
 
@@ -221,8 +221,8 @@ func (p *workerProc) classifyDeath(ev workerEvent) error {
 	if ws, ok := waitSignal(ev.wait); ok {
 		if ws == syscall.SIGKILL && !p.killedByUs {
 			if p.sawHeartbeat {
-				return fmt.Errorf("%w: pid %d SIGKILLed by the system; heap at last heartbeat %d bytes",
-					ErrWorkerOOM, p.pid(), p.lastHeap)
+				return fmt.Errorf("%w: pid %d SIGKILLed by the system; resident set at last heartbeat %d bytes (the worker's /proc/self/statm)",
+					ErrWorkerOOM, p.pid(), p.lastRSS)
 			}
 			return fmt.Errorf("%w: pid %d SIGKILLed by the system before its first heartbeat", ErrWorkerOOM, p.pid())
 		}
@@ -291,7 +291,7 @@ func (p *workerProc) dispatch(ctx context.Context, spec wireCell, hbDeadline, gr
 				return wireMsg{}, fmt.Errorf("%w (worker pid %d killed)", err, p.pid())
 			}
 			if ev.msg.Type == msgHeartbeat {
-				p.sawHeartbeat, p.lastHeap = true, ev.msg.HeapAlloc
+				p.sawHeartbeat, p.lastRSS = true, ev.msg.RSS
 				if killReason == nil {
 					// After the cell deadline or a cancel, heartbeats no
 					// longer buy time: the grace window stands.

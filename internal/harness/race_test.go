@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -162,7 +164,7 @@ func TestJournalConcurrentUse(t *testing.T) {
 // concurrently, and closes the pool once each goroutine has finished a
 // cell. A Run in flight at the Close finishes its cell, and every later
 // Run must return the closed pool's error rather than hang or start
-// another worker.
+// another worker. The last worker out removes the pool's directory.
 func TestWorkerPoolCloseDuringRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes")
@@ -207,11 +209,14 @@ func TestWorkerPoolCloseDuringRuns(t *testing.T) {
 	if st := pool.Stats(); st.Starts != streams || st.Crashes != 0 {
 		t.Errorf("stats = %+v, want %d starts and no crash", st, streams)
 	}
+	if _, err := os.Stat(pool.dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("pool directory once every Run returned: %v, want it gone", err)
+	}
 }
 
 // TestRunWorkerFrames runs the worker loop in process over four cells,
 // with a heartbeat due every 100µs, into an unsynchronized buffer: the
-// first cell builds camel while heartbeats flow, and every cell's
+// first cell builds and publishes camel while heartbeats flow, and every cell's
 // heartbeats are due as its result is written. Every frame must decode,
 // and each cell's heartbeats must all precede its result. Under -race
 // this checks that a cell's heartbeat goroutine has stopped before its
@@ -221,8 +226,9 @@ func TestRunWorkerFrames(t *testing.T) {
 	rc.MaxBudget = 3000
 	var in bytes.Buffer
 	const cells = 4
+	dir := t.TempDir()
 	for id := 1; id <= cells; id++ {
-		if err := writeFrame(&in, wireCell{ID: id, Workload: "camel", RC: rc, HeartbeatEvery: 100 * time.Microsecond}); err != nil {
+		if err := writeFrame(&in, wireCell{ID: id, Workload: "camel", Dir: dir, RC: rc, HeartbeatEvery: 100 * time.Microsecond}); err != nil {
 			t.Fatal(err)
 		}
 	}

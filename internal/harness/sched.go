@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"vrsim/internal/workloads"
@@ -334,10 +333,11 @@ func (s *sweep) note(format string, args ...any) {
 // returned is the first failing name in that order regardless of
 // completion order.
 //
-// Under a worker pool it constructs nothing: the workers build the
-// workloads they run, and a cell here needs only its workload's name
-// (WorkerPool.Run sends nothing else). Each name is checked against the
-// registry and comes back as a workload holding just the name.
+// Under a worker pool it constructs nothing: the pool builds each
+// workload its workers run once, in the first worker sent a cell of it,
+// and a cell here needs only its workload's name (WorkerPool.Run sends
+// nothing else). Each name is checked against the registry and comes
+// back as a workload holding just the name.
 func (o *Options) buildAll(names []string) ([]*workloads.Workload, error) {
 	if o.softCtx().Err() != nil {
 		// A cancelled campaign should not start synthesizing multi-second
@@ -346,12 +346,8 @@ func (o *Options) buildAll(names []string) ([]*workloads.Workload, error) {
 	}
 	ws := make([]*workloads.Workload, len(names))
 	if o.Pool != nil {
-		known := workloads.Names()
 		for i, n := range names {
-			if !slices.Contains(known, n) {
-				// ByName builds nothing for a name the registry does not
-				// hold, and its error is the in-process one.
-				_, err := workloads.ByName(n)
+			if _, err := workloads.Builder(n); err != nil {
 				return nil, err
 			}
 			ws[i] = &workloads.Workload{Name: n}

@@ -79,18 +79,22 @@ func readFrame(r io.Reader) ([]byte, error) {
 }
 
 // wireCell is one dispatched cell attempt: everything a worker needs to
-// execute it, self-contained. The workload travels by name (workers
-// rebuild it deterministically via workloads.ByName), and RC already
-// carries the attempt's derived fault seed — the supervisor runs the
-// ForCellAttempt derivation, so the worker never needs to know which
-// attempt it is executing.
+// execute it, self-contained. The workload travels by name (the pool's
+// first worker sent it builds and publishes it in Dir, and every worker
+// maps it from there), and RC already carries the attempt's derived
+// fault seed — the supervisor runs the ForCellAttempt derivation, so the
+// worker never needs to know which attempt it is executing.
 type wireCell struct {
 	// ID is the supervisor's dispatch id; the worker echoes it on every
 	// heartbeat and on the result, which is how the supervisor detects
 	// stale or duplicated messages after a redispatch.
 	ID int
-	// Workload names the cell's workload for workloads.ByName.
+	// Workload names the cell's workload in the workloads registry.
 	Workload string
+	// Dir is the pool's directory, which holds the published workloads.
+	// cellKey leaves it empty, and the encoding omits it then, so a
+	// cell's identity does not depend on the pool that runs it.
+	Dir string `json:",omitempty"`
 	// RC is the fully resolved run configuration for this attempt.
 	RC RunConfig
 	// Timeout is the remaining per-cell wall-clock budget (0 = none); the
@@ -114,10 +118,12 @@ type wireMsg struct {
 	Type string
 	// ID echoes the wireCell.ID this message belongs to.
 	ID int
-	// HeapAlloc (heartbeats) is the worker's live heap at the beat, the
-	// forensic the supervisor uses to label a SIGKILLed worker as a
-	// probable OOM kill.
-	HeapAlloc uint64 `json:",omitempty"`
+	// RSS (heartbeats) is the worker's resident set at the beat in
+	// bytes, as its /proc/self/statm reports it: the heap and the pages
+	// of the mapped workload images it has touched. It is the forensic
+	// the supervisor uses to label a SIGKILLed worker as a probable OOM
+	// kill.
+	RSS uint64 `json:",omitempty"`
 	// Result (results) carries a successful cell's metrics.
 	Result *Result `json:",omitempty"`
 	// Err (results) carries a failed cell's reconstructed *RunError.

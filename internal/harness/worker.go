@@ -6,15 +6,26 @@
 // state at all — every dispatch is self-contained — which is what lets
 // the supervisor treat workers as disposable: kill one mid-cell and the
 // cell redispatches to a fresh worker with byte-identical inputs.
+//
+// The workloads a pool's workers run are built once per pool, not once
+// per worker: the first worker sent a cell of a workload publishes it in
+// the pool's directory, and every worker maps the published file (see
+// sharedWorkload).
 
 package harness
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"runtime"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
 	"time"
 
 	"vrsim/internal/workloads"
@@ -26,6 +37,8 @@ import (
 // failure on the outbound one is returned — the worker cannot continue
 // past either — and vrbench maps it to the protocol-failure exit code.
 func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
+	// opened holds the workloads this worker has mapped, by path.
+	opened := map[string]*workloads.Workload{}
 	for {
 		payload, err := readFrame(r)
 		if err == io.EOF {
@@ -38,7 +51,7 @@ func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 		if err := json.Unmarshal(payload, &spec); err != nil {
 			return fmt.Errorf("%w: garbled cell spec: %v", ErrWorkerProtocol, err)
 		}
-		if err := runWorkerCell(ctx, w, spec); err != nil {
+		if err := runWorkerCell(ctx, w, spec, opened); err != nil {
 			return err
 		}
 		if ctx.Err() != nil {
@@ -54,14 +67,15 @@ func RunWorker(ctx context.Context, r io.Reader, w io.Writer) error {
 // — an unknown workload, a panic, a timeout — travels back to the
 // supervisor as a structured result so it degrades to an ERR table cell
 // exactly as it would in-process.
-func runWorkerCell(ctx context.Context, w io.Writer, spec wireCell) error {
-	// Heartbeats start before workload lookup: ByName constructs the
-	// workload on this process's first dispatch of it (graph synthesis,
-	// validator precompute — easily longer than the heartbeat deadline),
-	// and a silent worker mid-construction must not read as wedged.
+func runWorkerCell(ctx context.Context, w io.Writer, spec wireCell, opened map[string]*workloads.Workload) error {
+	// Heartbeats start before workload lookup: the first worker sent a
+	// cell of a workload builds it (graph synthesis, validator precompute
+	// — easily longer than the heartbeat deadline), and the others wait
+	// on its lock; a silent worker mid-construction must not read as
+	// wedged.
 	stopHB := startHeartbeats(w, spec.ID, spec.HeartbeatEvery)
 
-	wl, err := workloads.ByName(spec.Workload)
+	wl, err := sharedWorkload(spec.Dir, spec.Workload, opened)
 	if err != nil {
 		stopHB()
 		return writeFrame(w, wireMsg{Type: msgResult, ID: spec.ID, Err: newWireError(
@@ -90,8 +104,62 @@ func runWorkerCell(ctx context.Context, w io.Writer, spec wireCell) error {
 	return writeFrame(w, msg)
 }
 
+// sharedWorkload returns the named workload as published in the pool's
+// directory dir, publishing it first if no worker of the pool has. Under
+// an exclusive flock on the workload's lock file, the worker maps the
+// published file if there is one; otherwise it builds the workload,
+// without memoizing it, writes it under a temporary name, renames it into
+// place, maps it and drops the build. The kernel releases a lock when its
+// holder dies, so a worker killed mid-build blocks nobody: its
+// replacement finds no published file, builds again and overwrites the
+// temporary one. A worker runs one cell at a time, so it holds one lock
+// at a time. opened keeps what the worker has mapped, by path.
+func sharedWorkload(dir, name string, opened map[string]*workloads.Workload) (*workloads.Workload, error) {
+	path := filepath.Join(dir, name)
+	if wl := opened[path]; wl != nil {
+		return wl, nil
+	}
+	build, err := workloads.Builder(name)
+	if err != nil {
+		return nil, err
+	}
+	if dir == "" {
+		return nil, errors.New("harness: the cell names no pool directory to publish its workload in")
+	}
+	lock, err := os.OpenFile(path+".lock", os.O_CREATE|os.O_RDWR, 0o600)
+	if err != nil {
+		return nil, err
+	}
+	defer lock.Close() // closing the lock file releases the lock
+	for {
+		err = syscall.Flock(int(lock.Fd()), syscall.LOCK_EX)
+		if err != syscall.EINTR {
+			break
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("harness: lock %s: %w", lock.Name(), err)
+	}
+	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
+		if err := workloads.Publish(path+".tmp", build()); err != nil {
+			return nil, err
+		}
+		if err := os.Rename(path+".tmp", path); err != nil {
+			return nil, err
+		}
+	} else if err != nil {
+		return nil, err
+	}
+	wl, err := workloads.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	opened[path] = wl
+	return wl, nil
+}
+
 // startHeartbeats begins the per-cell heartbeat stream: a wireMsg every
-// `every` with the worker's live heap size, the forensic the supervisor
+// `every` with the worker's resident set size, the forensic the supervisor
 // uses to call a SIGKILLed worker a probable OOM. The heartbeats and the
 // cell's result share w without a lock: the returned stop function waits
 // for the goroutine to exit, so every heartbeat is written before the
@@ -113,9 +181,7 @@ func startHeartbeats(w io.Writer, id int, every time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-tick.C:
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				_ = writeFrame(w, wireMsg{Type: msgHeartbeat, ID: id, HeapAlloc: ms.HeapAlloc})
+				_ = writeFrame(w, wireMsg{Type: msgHeartbeat, ID: id, RSS: residentBytes()})
 			}
 		}
 	}()
@@ -123,4 +189,24 @@ func startHeartbeats(w io.Writer, id int, every time.Duration) (stop func()) {
 		close(done)
 		<-finished
 	}
+}
+
+// residentBytes returns the process's resident set size in bytes, from
+// the second field of /proc/self/statm (in pages), or 0 where that file
+// cannot be read. Unlike the heap figure runtime.ReadMemStats gives, it
+// counts the mapped workload images and does not stop the world.
+func residentBytes() uint64 {
+	b, err := os.ReadFile("/proc/self/statm")
+	if err != nil {
+		return 0
+	}
+	f := strings.Fields(string(b))
+	if len(f) < 2 {
+		return 0
+	}
+	pages, err := strconv.ParseUint(f[1], 10, 64)
+	if err != nil {
+		return 0
+	}
+	return pages * uint64(os.Getpagesize())
 }

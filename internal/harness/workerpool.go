@@ -108,6 +108,12 @@ type PoolStats struct {
 // NewWorkerPool, plug into Options.Pool, Close when the campaign ends.
 type WorkerPool struct {
 	cfg PoolConfig
+	// dir is the pool's private directory under os.TempDir(): each
+	// workload its workers run is published there once, by the first
+	// worker sent a cell of it, and mapped from there by every worker
+	// (sharedWorkload). The last of Close and the releases of workers
+	// leased at the Close removes it.
+	dir string
 	// hbDeadline is how long a worker may go silent before it is
 	// presumed wedged: several missed beats, floored so scheduling jitter
 	// under load cannot fake a hang.
@@ -118,13 +124,15 @@ type WorkerPool struct {
 
 	mu      sync.Mutex
 	idle    []*workerProc // guarded by mu
+	leased  int           // workers out on lease; guarded by mu
 	starts  int           // guarded by mu
 	crashes int           // guarded by mu
 	nextID  int           // guarded by mu
 	closed  bool          // guarded by mu
 }
 
-// NewWorkerPool creates a pool; workers start lazily on first lease.
+// NewWorkerPool creates a pool and its directory; workers start lazily
+// on first lease.
 func NewWorkerPool(cfg PoolConfig) (*WorkerPool, error) {
 	if len(cfg.Command) == 0 {
 		return nil, errors.New("harness: worker pool needs a command")
@@ -134,7 +142,11 @@ func NewWorkerPool(cfg PoolConfig) (*WorkerPool, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &WorkerPool{cfg: cfg, slots: make(chan struct{}, workers)}
+	dir, err := os.MkdirTemp("", "vrsim-pool-")
+	if err != nil {
+		return nil, fmt.Errorf("harness: worker pool directory: %w", err)
+	}
+	p := &WorkerPool{cfg: cfg, dir: dir, slots: make(chan struct{}, workers)}
 	p.hbDeadline = cfg.HeartbeatDeadline
 	if p.hbDeadline <= 0 {
 		p.hbDeadline = 5 * cfg.HeartbeatEvery
@@ -167,7 +179,7 @@ func (p *WorkerPool) Run(ctx context.Context, w *workloads.Workload, rc RunConfi
 	}
 	defer func() { <-p.slots }()
 
-	spec := wireCell{Workload: w.Name, RC: rc, HeartbeatEvery: p.cfg.HeartbeatEvery}
+	spec := wireCell{Workload: w.Name, Dir: p.dir, RC: rc, HeartbeatEvery: p.cfg.HeartbeatEvery}
 	if dl, ok := ctx.Deadline(); ok {
 		spec.Timeout = time.Until(dl)
 		if spec.Timeout <= 0 {
@@ -246,6 +258,7 @@ func (p *WorkerPool) lease() (*workerProc, error) {
 	if n := len(p.idle); n > 0 {
 		wp := p.idle[n-1]
 		p.idle = p.idle[:n-1]
+		p.leased++
 		p.mu.Unlock()
 		return wp, nil
 	}
@@ -256,10 +269,12 @@ func (p *WorkerPool) lease() (*workerProc, error) {
 			ErrWorkerCrashed, budget, p.cfg.Workers, p.cfg.MaxRestarts)
 	}
 	p.starts++
+	p.leased++
 	started := p.starts
 	p.mu.Unlock()
 	wp, err := startWorkerProc(p.cfg.Command, p.cfg.Stderr)
 	if err != nil {
+		p.returned(1)
 		return nil, fmt.Errorf("%w: cannot start worker: %v", ErrWorkerCrashed, err)
 	}
 	if started > p.cfg.Workers {
@@ -269,15 +284,18 @@ func (p *WorkerPool) lease() (*workerProc, error) {
 	return wp, nil
 }
 
-// release returns a healthy worker to the idle set.
+// release returns a healthy worker to the idle set, or reaps it once
+// the pool is closed.
 func (p *WorkerPool) release(wp *workerProc) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		wp.reap(p.cfg.KillGrace)
+		p.returned(1)
 		return
 	}
 	p.idle = append(p.idle, wp)
+	p.leased--
 	p.mu.Unlock()
 }
 
@@ -291,6 +309,28 @@ func (p *WorkerPool) unlease(wp *workerProc, err error) {
 		p.crashes++
 	}
 	p.mu.Unlock()
+	p.returned(1)
+}
+
+// returned books n leased workers back whose processes have exited, and
+// removes the pool's directory when they were the last ones out after
+// Close.
+func (p *WorkerPool) returned(n int) {
+	p.mu.Lock()
+	p.leased -= n
+	last := p.closed && p.leased == 0
+	p.mu.Unlock()
+	if last {
+		p.removeDir()
+	}
+}
+
+// removeDir removes the pool's directory and what its workers published
+// there. A worker that still maps a file keeps its pages.
+func (p *WorkerPool) removeDir() {
+	if err := os.RemoveAll(p.dir); err != nil {
+		p.logf("cannot remove the pool directory: %v", err)
+	}
 }
 
 // allocID issues the next dispatch id.
@@ -302,9 +342,11 @@ func (p *WorkerPool) allocID() int {
 }
 
 // Close shuts the pool down: idle workers get a clean EOF and the grace
-// window to exit, stragglers get the kill ladder. Safe to call once the
-// campaign's sweeps have finished; concurrent Runs will fail their next
-// lease rather than hang.
+// window to exit, stragglers get the kill ladder. Once every worker has
+// exited, the pool's directory is removed: by Close when no worker is
+// out on lease, otherwise by the release of the last one. Safe to call
+// once the campaign's sweeps have finished; concurrent Runs will fail
+// their next lease rather than hang.
 func (p *WorkerPool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -314,6 +356,9 @@ func (p *WorkerPool) Close() {
 	p.closed = true
 	idle := p.idle
 	p.idle = nil
+	// The idle workers count as leased until they have exited, so the
+	// directory outlives them.
+	p.leased += len(idle)
 	p.mu.Unlock()
 	// Close every stdin first so all workers wind down concurrently,
 	// then wait on each.
@@ -323,6 +368,7 @@ func (p *WorkerPool) Close() {
 	for _, wp := range idle {
 		wp.shutdown(p.cfg.KillGrace)
 	}
+	p.returned(len(idle))
 }
 
 // logf emits one supervision note.
