@@ -13,7 +13,11 @@
 # SIGKILL a worker process mid-campaign (the supervisor must restart it
 # and redispatch the lost cell with an unchanged attempt seed), and
 # SIGKILL the supervisor itself mid-journal (the resumed campaign must
-# replay to the same bytes, and no orphaned workers may survive).
+# replay to the same bytes, and no orphaned workers may survive). Their
+# worker pools publish workloads under TMPDIR, which points into the
+# scratch directory there, so the trap removes what the SIGKILLed
+# supervisor leaves behind; a pool that exits on its own must leave
+# nothing.
 #
 # Run from the repository root: ./scripts/chaos_smoke.sh (or make chaos).
 set -euo pipefail
@@ -35,6 +39,9 @@ flags=(-exp f9 -parallel 4 -maxbudget 40000
 	-faults spike=0.05,spikecycles=300,drop=0.1,panic=30000 -faultseed 7
 	-retries 2 -retrybackoff 10ms -celltimeout 120s)
 journal="$dir/campaign.journal"
+# TMPDIR of the isolated runs, where their worker pools publish workloads.
+pooltmp="$dir/tmp"
+mkdir "$pooltmp"
 
 echo "chaos: building vrbench (race detector on)"
 "$GO" build -race -o "$dir/vrbench" ./cmd/vrbench
@@ -156,7 +163,7 @@ echo "chaos: process-isolated run, worker SIGKILL mid-campaign"
 # cell with the same attempt seed — so the output stays byte-identical
 # to the golden in-process run and the exit code matches.
 set +e
-"$dir/vrbench" "${flags[@]}" -isolate=process \
+TMPDIR="$pooltmp" "$dir/vrbench" "${flags[@]}" -isolate=process \
 	>"$dir/isolated.txt" 2>"$dir/isolated.err" &
 pid=$!
 killed_worker=0
@@ -178,11 +185,13 @@ set -e
 	fail "isolated run exited $iso_status, golden exited $golden_status (stderr: $(cat "$dir/isolated.err"))"
 diff -u "$dir/golden.txt" "$dir/isolated.txt" >&2 ||
 	fail "worker SIGKILL changed the campaign output"
+[ -z "$(ls -A "$pooltmp")" ] ||
+	fail "the isolated run left $(ls -A "$pooltmp") in its TMPDIR"
 
 echo "chaos: process-isolated run, supervisor SIGKILL mid-journal, resume"
 journal2="$dir/isolated.journal"
 set +e
-"$dir/vrbench" "${flags[@]}" -isolate=process -checkpoint "$journal2" \
+TMPDIR="$pooltmp" "$dir/vrbench" "${flags[@]}" -isolate=process -checkpoint "$journal2" \
 	>"$dir/survivor.txt" 2>"$dir/survivor.err" &
 pid=$!
 for _ in $(seq 1 1200); do
@@ -208,11 +217,16 @@ for _ in $(seq 1 600); do
 	sleep 0.05
 done
 [ -z "$orphans" ] || fail "workers survived their supervisor: pids $orphans"
+# The killed supervisor's pool directory stays until the trap; the
+# resumed run must add nothing to it.
+left="$(ls -A "$pooltmp")"
 set +e
-"$dir/vrbench" "${flags[@]}" -isolate=process -checkpoint "$journal2" -resume \
+TMPDIR="$pooltmp" "$dir/vrbench" "${flags[@]}" -isolate=process -checkpoint "$journal2" -resume \
 	>"$dir/survivor2.txt" 2>"$dir/survivor2.err"
 survivor_status=$?
 set -e
+[ "$(ls -A "$pooltmp")" = "$left" ] ||
+	fail "the resumed isolated run left $(ls -A "$pooltmp") in its TMPDIR, before it $left"
 grep -q "resuming:" "$dir/survivor2.err" ||
 	fail "post-SIGKILL resume did not replay from the journal (stderr: $(cat "$dir/survivor2.err"))"
 diff -u "$dir/golden.txt" "$dir/survivor2.txt" >&2 ||
