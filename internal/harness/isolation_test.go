@@ -414,10 +414,10 @@ func TestPoolRunFnSelection(t *testing.T) {
 	}
 }
 
-// TestPoolBuildAllBuildsNothing: under a pool the workers build the
-// workloads they run, so buildAll returns workloads holding only their
-// names, constructs none, and rejects an unknown name with the error the
-// in-process path gives.
+// TestPoolBuildAllBuildsNothing: under a pool the workers build and
+// publish the workloads they run, so buildAll returns workloads holding
+// only their names, constructs none, and rejects an unknown name with the
+// error the in-process path gives.
 func TestPoolBuildAllBuildsNothing(t *testing.T) {
 	opt := &Options{Pool: newTestPool(t, PoolConfig{Workers: 1})}
 	names := []string{"bfs_kr", "camel", "nas-is"}
