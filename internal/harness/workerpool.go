@@ -320,14 +320,10 @@ func (p *WorkerPool) returned(n int) {
 	p.leased -= n
 	last := p.closed && p.leased == 0
 	p.mu.Unlock()
-	if last {
-		p.removeDir()
+	if !last {
+		return
 	}
-}
-
-// removeDir removes the pool's directory and what its workers published
-// there. A worker that still maps a file keeps its pages.
-func (p *WorkerPool) removeDir() {
+	// A worker still being killed keeps the pages it mapped.
 	if err := os.RemoveAll(p.dir); err != nil {
 		p.logf("cannot remove the pool directory: %v", err)
 	}

@@ -108,32 +108,34 @@ func MapImage(path string) (meta []byte, img *Image, err error) {
 		return nil, nil, err
 	}
 	size := fi.Size()
-	if size < 8*imageHeaderWords || size%8 != 0 || size != int64(int(size)) {
+	if size < 8*imageHeaderWords || size%8 != 0 {
 		return nil, nil, fmt.Errorf("%w: %s is %d bytes", errImageFile, path, size)
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mem: map %s: %w", path, err)
 	}
+	defer func() {
+		if err != nil {
+			_ = syscall.Munmap(data)
+		}
+	}()
 	// The one conversion from the mapping's bytes to words. The mapping
 	// starts on a host page, so every word, and every page at its 4 KiB
 	// offset, is aligned.
 	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(data))), len(data)/8)
 	m, n := words[0], words[1]
 	if n > uint64(len(words)-imageHeaderWords) || m > uint64(len(data)) {
-		_ = syscall.Munmap(data)
 		return nil, nil, fmt.Errorf("%w: %s claims %d pages and %d bytes of metadata", errImageFile, path, n, m)
 	}
 	head := 8*(imageHeaderWords+int(n)) + int(m)
 	if int64(alignPage(head))+int64(n)*pageBytes != size {
-		_ = syscall.Munmap(data)
 		return nil, nil, fmt.Errorf("%w: %s is %d bytes, its layout %d", errImageFile, path, size, int64(alignPage(head))+int64(n)*pageBytes)
 	}
 	pns, body := words[imageHeaderWords:imageHeaderWords+n], words[alignPage(head)/8:]
 	img = &Image{regions: make(map[uint64]*[regionPages]*page), npages: n}
 	for i, pn := range pns {
 		if i > 0 && pn <= pns[i-1] {
-			_ = syscall.Munmap(data)
 			return nil, nil, fmt.Errorf("%w: %s: page numbers out of order at %d", errImageFile, path, i)
 		}
 		r := img.regions[pn>>(regionShift-pageShift)]

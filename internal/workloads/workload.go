@@ -33,10 +33,10 @@ type Workload struct {
 	// Init writes the initial memory image. The arrays it hands over
 	// (mem.Backing.Adopt) become the image's pages, so nothing may write
 	// them afterwards, the validator included.
-	Init func(d *mem.Backing)
+	Init func(d *mem.Backing) `json:"-"`
 	// Validate recomputes the kernel natively and checks the final memory
 	// image and registers; it returns an error describing any mismatch.
-	Validate func(d *mem.Backing, regs [isa.NumRegs]uint64) error
+	Validate func(d *mem.Backing, regs [isa.NumRegs]uint64) error `json:"-"`
 	// SuggestedBudget is an instruction budget that covers the kernel's
 	// steady state at default scale (0 = run to Halt).
 	SuggestedBudget uint64
@@ -78,24 +78,12 @@ func (w *Workload) snapshot() *mem.Image {
 	return w.image
 }
 
-// published is what a workload file holds besides the memory image:
-// every field a cell reads.
-type published struct {
-	Name            string
-	Prog            *isa.Program
-	SuggestedBudget uint64
-	Nodes, Edges    int
-	SkipInstrs      uint64
-}
-
 // Publish writes w's program, metadata and initial memory image to a new
-// file at path (mem.WriteImage), running Init if w has no image yet.
-// Open maps the file back.
+// file at path (mem.WriteImage), running Init if w has no image yet: the
+// workload's exported fields but Init and Validate, JSON-encoded, as the
+// image's metadata. Open maps the file back.
 func Publish(path string, w *Workload) error {
-	meta, err := json.Marshal(published{
-		Name: w.Name, Prog: w.Prog, SuggestedBudget: w.SuggestedBudget,
-		Nodes: w.Nodes, Edges: w.Edges, SkipInstrs: w.SkipInstrs,
-	})
+	meta, err := json.Marshal(w)
 	if err != nil {
 		return err
 	}
@@ -119,12 +107,10 @@ func Open(path string) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	var p published
-	if err := json.Unmarshal(meta, &p); err != nil {
+	w := new(Workload)
+	if err := json.Unmarshal(meta, w); err != nil {
 		return nil, fmt.Errorf("workloads: %s: %w", path, err)
 	}
-	w := &Workload{Name: p.Name, Prog: p.Prog, SuggestedBudget: p.SuggestedBudget,
-		Nodes: p.Nodes, Edges: p.Edges, SkipInstrs: p.SkipInstrs}
 	w.imageOnce.Do(func() { w.image = img })
 	return w, nil
 }
