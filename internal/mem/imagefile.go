@@ -54,33 +54,24 @@ func WriteImage(w io.Writer, meta []byte, img *Image) error {
 		pns = append(pns, pn)
 		ps = append(ps, p)
 	})
+	// A bufio.Writer keeps its first write error and Flush returns it, so
+	// the writes below need no checks of their own.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	buf := make([]byte, 0, pageBytes)
-	buf = binary.NativeEndian.AppendUint64(buf, uint64(len(meta)))
-	buf = binary.NativeEndian.AppendUint64(buf, uint64(len(pns)))
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	for _, pn := range pns {
-		if _, err := bw.Write(binary.NativeEndian.AppendUint64(buf[:0], pn)); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.Write(meta); err != nil {
-		return err
-	}
-	head := 8*(imageHeaderWords+len(pns)) + len(meta)
-	if _, err := bw.Write(make([]byte, alignPage(head)-head)); err != nil {
-		return err
-	}
-	for _, p := range ps {
+	var buf []byte
+	put := func(words ...uint64) {
 		buf = buf[:0]
-		for _, v := range p {
+		for _, v := range words {
 			buf = binary.NativeEndian.AppendUint64(buf, v)
 		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+		_, _ = bw.Write(buf)
+	}
+	put(uint64(len(meta)), uint64(len(pns)))
+	put(pns...)
+	_, _ = bw.Write(meta)
+	head := 8*(imageHeaderWords+len(pns)) + len(meta)
+	_, _ = bw.Write(make([]byte, alignPage(head)-head))
+	for _, p := range ps {
+		put(p[:]...)
 	}
 	return bw.Flush()
 }

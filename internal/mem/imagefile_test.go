@@ -46,7 +46,8 @@ func writeImageFile(t *testing.T, dir string, meta []byte, img *Image) (string, 
 
 // TestImageFileRoundTrip: a mapped image file holds the pages and the
 // metadata that were written, and backings seeded from it read what
-// backings seeded from the original do.
+// backings seeded from the original do. A write that fails anywhere in
+// the file fails WriteImage.
 func TestImageFileRoundTrip(t *testing.T) {
 	img, meta := imageFixture()
 	path, _ := writeImageFile(t, t.TempDir(), meta, img)
@@ -74,6 +75,22 @@ func TestImageFileRoundTrip(t *testing.T) {
 	if len(empty) != pageBytes {
 		t.Errorf("an empty image's file is %d bytes, want one page of header", len(empty))
 	}
+	for _, n := range []int{0, 100, 70_000} {
+		if err := WriteImage(&shortWriter{n: n}, meta, img); err == nil {
+			t.Errorf("WriteImage to a writer that fails after %d bytes returned no error", n)
+		}
+	}
+}
+
+// shortWriter accepts n bytes, then fails every write.
+type shortWriter struct{ n int }
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		return 0, errors.New("short write")
+	}
+	w.n -= len(p)
+	return len(p), nil
 }
 
 // TestMappedImageStaysReadOnly: stores into backings seeded from a mapped
