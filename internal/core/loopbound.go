@@ -29,7 +29,7 @@ type loopBound struct {
 // backward branch and extracts the (induction register, bound) comparison,
 // provided the branch tests the striding load's index register directly
 // against a register whose scalar value is valid in the walker context.
-func (v *VR) inferLoopBound(strideIn isa.Instr) loopBound {
+func (v *VR) inferLoopBound(strideIn *isa.Instr) loopBound {
 	induc := strideIn.Src2
 	if induc == 0 {
 		return loopBound{} // no index register: no inference
@@ -88,7 +88,7 @@ func (v *VR) inferLoopBound(strideIn isa.Instr) loopBound {
 // maskBeyondBound masks lanes whose induction value would already have
 // exited the loop. Lane i's induction value is the walker's current index
 // plus (i+1) index steps, mirroring the lane addresses.
-func (v *VR) maskBeyondBound(lb loopBound, strideIn isa.Instr) {
+func (v *VR) maskBeyondBound(lb loopBound, strideIn *isa.Instr) {
 	if !lb.found || !v.w.valid[lb.induc] {
 		return
 	}
@@ -97,6 +97,7 @@ func (v *VR) maskBeyondBound(lb loopBound, strideIn isa.Instr) {
 		return
 	}
 	cur := v.w.regs[lb.induc]
+	br := isa.Instr{Op: lb.op}
 	for i := 0; i < v.cfg.VectorLength; i++ {
 		if !v.mask[i] {
 			continue
@@ -104,7 +105,7 @@ func (v *VR) maskBeyondBound(lb loopBound, strideIn isa.Instr) {
 		lane := uint64(int64(cur) + int64(i+1)*idxStep)
 		// Taken on the backward branch means the loop continues; lanes
 		// whose induction value fails the test lie past the loop's end.
-		if !isa.BranchTaken(isa.Instr{Op: lb.op}, lane, lb.bound) {
+		if !isa.BranchTaken(&br, lane, lb.bound) {
 			v.mask[i] = false
 			v.Stats.LanesBoundMasked++
 		}

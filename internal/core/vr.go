@@ -366,7 +366,7 @@ func (v *VR) alreadyCovered(base uint64) bool {
 }
 
 // scalarStep is the PRE-style scalar transient execution path.
-func (v *VR) scalarStep(c *cpu.Core, in isa.Instr) {
+func (v *VR) scalarStep(c *cpu.Core, in *isa.Instr) {
 	v.Stats.ScalarInstrs++
 	if v.w.step(c, in, v.now) == stepLoad {
 		v.Stats.ScalarLoads++
@@ -375,7 +375,7 @@ func (v *VR) scalarStep(c *cpu.Core, in isa.Instr) {
 
 // vectorize begins a vectorized chain at the striding load `in` sitting at
 // v.stridePC: lanes cover the next VectorLength iterations.
-func (v *VR) vectorize(c *cpu.Core, in isa.Instr) int {
+func (v *VR) vectorize(c *cpu.Core, in *isa.Instr) int {
 	vl := v.cfg.VectorLength
 	v.vec = true
 	v.chainInstrs = 0
@@ -438,7 +438,7 @@ func (v *VR) vectorize(c *cpu.Core, in isa.Instr) int {
 // the equivalent of the follow-on paper's Final-Load Register, determined
 // here at vectorization time. Runahead terminates the chain as soon as that
 // load's gathers have issued.
-func (v *VR) discoverFinalLoad(strideIn isa.Instr) int {
+func (v *VR) discoverFinalLoad(strideIn *isa.Instr) int {
 	var taint [regSpace]bool
 	taint[strideIn.Dst] = true
 	final := v.stridePC
@@ -470,13 +470,7 @@ func (v *VR) discoverFinalLoad(strideIn isa.Instr) int {
 			}
 			continue
 		}
-		tainted := false
-		var srcBuf [3]isa.Reg // stack scratch: Sources appends at most 3 regs
-		for _, r := range in.Sources(srcBuf[:0]) {
-			if taint[r] {
-				tainted = true
-			}
-		}
+		tainted := readsAny(in, &taint)
 		if in.IsLoad() {
 			if tainted {
 				final = pc
@@ -504,7 +498,7 @@ func (v *VR) discoverFinalLoad(strideIn isa.Instr) int {
 // The destination's pooled lane arrays are overwritten in full: masked
 // lanes are cleared, not skipped, preserving the fresh-slice semantics a
 // later-resumed divergent lane group observes.
-func (v *VR) gather(c *cpu.Core, in isa.Instr, addrs []uint64) int {
+func (v *VR) gather(c *cpu.Core, in *isa.Instr, addrs []uint64) int {
 	vl := v.cfg.VectorLength
 	vals := v.vregs[in.Dst]
 	valid := v.vvalid[in.Dst]
@@ -553,14 +547,8 @@ func (v *VR) gather(c *cpu.Core, in isa.Instr, addrs []uint64) int {
 }
 
 // anyTaintedSource reports whether in reads a tainted (vectorized) register.
-func (v *VR) anyTaintedSource(in isa.Instr) bool {
-	var srcBuf [3]isa.Reg // stack scratch: Sources appends at most 3 regs
-	for _, r := range in.Sources(srcBuf[:0]) {
-		if v.taint[r] {
-			return true
-		}
-	}
-	return false
+func (v *VR) anyTaintedSource(in *isa.Instr) bool {
+	return readsAny(in, &v.taint)
 }
 
 // laneVal reads source register r for lane i, broadcasting scalars.
@@ -576,7 +564,7 @@ func (v *VR) laneVal(r isa.Reg, i int) (uint64, bool) {
 }
 
 // vecStep executes one instruction across all active lanes.
-func (v *VR) vecStep(c *cpu.Core, in isa.Instr) int {
+func (v *VR) vecStep(c *cpu.Core, in *isa.Instr) int {
 	vl := v.cfg.VectorLength
 	switch {
 	case in.IsBranch():

@@ -60,26 +60,34 @@ func newWalker(c *cpu.Core) walker {
 	return w
 }
 
-// fetch returns the instruction at the walker's PC.
-func (w *walker) fetch() isa.Instr { return w.prog.At(w.pc) }
+// fetch returns the instruction at the walker's PC, in place.
+func (w *walker) fetch() *isa.Instr { return w.prog.At(w.pc) }
 
-// srcOK reports whether both register sources needed by in are valid, and
-// returns their values.
-func (w *walker) srcOK(in isa.Instr) (a, b uint64, ok bool) {
-	a, b = w.regs[in.Src1], w.regs[in.Src2]
-	ok = true
-	var srcBuf [3]isa.Reg // stack scratch: Sources appends at most 3 regs
-	for _, r := range in.Sources(srcBuf[:0]) {
-		if !w.valid[r] {
-			ok = false
-		}
-	}
-	return a, b, ok
+// srcOK reports whether every register in reads is valid, and returns
+// the values of its Src1 and Src2.
+func (w *walker) srcOK(in *isa.Instr) (a, b uint64, ok bool) {
+	return w.regs[in.Src1], w.regs[in.Src2], readsAll(in, &w.valid)
+}
+
+// readsAll reports whether set holds every register in reads.
+func readsAll(in *isa.Instr, set *[regSpace]bool) bool {
+	rs := in.Reads()
+	return (rs&isa.ReadSrc1 == 0 || set[in.Src1]) &&
+		(rs&isa.ReadSrc2 == 0 || set[in.Src2]) &&
+		(rs&isa.ReadDst == 0 || set[in.Dst])
+}
+
+// readsAny reports whether set holds some register in reads.
+func readsAny(in *isa.Instr, set *[regSpace]bool) bool {
+	rs := in.Reads()
+	return rs&isa.ReadSrc1 != 0 && set[in.Src1] ||
+		rs&isa.ReadSrc2 != 0 && set[in.Src2] ||
+		rs&isa.ReadDst != 0 && set[in.Dst]
 }
 
 // branchStep follows a branch: the actual direction when operands are
 // valid, the predicted direction otherwise. It advances pc and hist.
-func (w *walker) branchStep(in isa.Instr) {
+func (w *walker) branchStep(in *isa.Instr) {
 	var taken bool
 	if in.Op == isa.Jmp {
 		taken = true
@@ -103,7 +111,7 @@ func (w *walker) branchStep(in isa.Instr) {
 
 // aluStep executes a non-memory, non-branch instruction in the transient
 // context, propagating INV, and advances pc.
-func (w *walker) aluStep(in isa.Instr) {
+func (w *walker) aluStep(in *isa.Instr) {
 	if in.WritesDst() {
 		a, b, ok := w.srcOK(in)
 		if ok {
@@ -131,7 +139,7 @@ const (
 // under the INV discipline: a load issues as a runahead access and yields
 // a value only on an L1 hit, and a store prefetches its line (runahead
 // makes no transient memory writes). It advances pc.
-func (w *walker) step(c *cpu.Core, in isa.Instr, now uint64) stepResult {
+func (w *walker) step(c *cpu.Core, in *isa.Instr, now uint64) stepResult {
 	res := stepNone
 	switch {
 	case in.IsBranch():

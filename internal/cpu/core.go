@@ -160,9 +160,11 @@ type wakeup struct {
 	slot int
 }
 
+// fetchSlot is a fetched instruction waiting in the front queue. It
+// holds the instruction's pc, not the instruction: dispatch re-reads the
+// program, which no run changes.
 type fetchSlot struct {
 	pc        int
-	in        isa.Instr
 	predTaken bool
 	hist      uint64 // GHR snapshot at fetch
 	readyAt   uint64 // cycle the slot clears the front-end pipeline
@@ -676,7 +678,7 @@ func (c *Core) idleWindow() uint64 {
 	}
 	if q := c.frontQ; c.fqLen > 0 && len(q) > 0 {
 		fs := &q[uint(c.fqHead)&uint(len(q)-1)]
-		if !c.dispatchWouldBlock(&fs.in) && fs.readyAt < end {
+		if !c.dispatchWouldBlock(c.prog.At(fs.pc)) && fs.readyAt < end {
 			end = fs.readyAt
 		}
 	}
@@ -723,7 +725,7 @@ func (c *Core) skipIdle(k uint64) {
 	c.issuedThisCycle = 0
 	blocked := false
 	q := c.frontQ
-	if c.fqLen > 0 && len(q) > 0 && c.dispatchWouldBlock(&q[uint(c.fqHead)&uint(len(q)-1)].in) {
+	if c.fqLen > 0 && len(q) > 0 && c.dispatchWouldBlock(c.prog.At(q[uint(c.fqHead)&uint(len(q)-1)].pc)) {
 		from := c.cycle
 		if ra := q[uint(c.fqHead)&uint(len(q)-1)].readyAt; ra > from {
 			from = ra
@@ -1113,7 +1115,7 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 			}
 			vals[k&1] = v // identity: address sources number at most 2
 		}
-		e.addr = isa.EffAddr(e.in, vals[0], vals[1])
+		e.addr = isa.EffAddr(&e.in, vals[0], vals[1])
 		e.addrReady = true
 		e.issued = true
 		if v, ok := c.operand(e, e.nsrc-1); ok {
@@ -1137,7 +1139,7 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 			}
 			vals[k&1] = v // identity: these opcode classes read at most 2 regs
 		}
-		addr := isa.EffAddr(e.in, vals[0], vals[1])
+		addr := isa.EffAddr(&e.in, vals[0], vals[1])
 		fwd, fwdVal, ready := c.forward(e.seq, addr)
 		if !ready {
 			return false
@@ -1176,7 +1178,7 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 		e.issued = true
 		e.done = true
 		e.readyCycle = c.cycle + c.cfg.FULatency[isa.FUBranch]
-		taken := isa.BranchTaken(e.in, a, b)
+		taken := isa.BranchTaken(&e.in, a, b)
 		if e.in.IsCondBranch() {
 			c.pred.Update(e.pc, e.hist, taken)
 			if taken != e.predTaken {
@@ -1204,7 +1206,7 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 			vals[k&1] = v // identity: these opcode classes read at most 2 regs
 		}
 		e.issued = true
-		e.val = isa.ALUResult(e.in, vals[0], vals[1])
+		e.val = isa.ALUResult(&e.in, vals[0], vals[1])
 		e.done = true
 		e.readyCycle = c.cycle + c.cfg.FULatency[e.in.FU()]
 		return true
@@ -1398,11 +1400,12 @@ func (c *Core) dispatch() {
 	}
 	for n := 0; n < c.cfg.Width; n++ {
 		head := uint(c.fqHead) & uint(len(q)-1)
-		if c.fqLen == 0 || q[head].readyAt > c.cycle {
+		fs := &q[head]
+		if c.fqLen == 0 || fs.readyAt > c.cycle {
 			return
 		}
-		fs := q[head]
-		if c.dispatchWouldBlock(&fs.in) {
+		in := c.prog.At(fs.pc)
+		if c.dispatchWouldBlock(in) {
 			if c.count == c.cfg.ROBSize {
 				c.Stats.DispatchBlockedROB++
 			}
@@ -1415,31 +1418,30 @@ func (c *Core) dispatch() {
 		idx := c.slot(c.count)
 		c.count++
 		c.nextSeq++
+		// Fill the entry in place. Every field is set here but the source
+		// arrays past nsrc, which nothing reads.
 		e := &c.rob[idx]
-		*e = robEntry{seq: c.nextSeq, pc: fs.pc, in: fs.in, predTaken: fs.predTaken, hist: fs.hist, deps: noLink}
-
-		var srcs [3]isa.Reg
-		srcList := fs.in.Sources(srcs[:0])
-		if len(srcList) > len(e.srcReg) {
-			srcList = srcList[:len(e.srcReg)] // dead: Sources appends at most 3
+		e.seq, e.pc, e.in, e.predTaken, e.hist = c.nextSeq, fs.pc, *in, fs.predTaken, fs.hist
+		e.issued, e.done, e.addrReady, e.valReady = false, false, false, false
+		e.readyCycle, e.val, e.addr = 0, 0, 0
+		e.nsrc, e.pending, e.wakeAt, e.deps = 0, 0, 0, noLink
+		rs := in.Reads()
+		if rs&isa.ReadSrc1 != 0 {
+			c.rename(e, in.Src1)
 		}
-		for ns, r := range srcList {
-			e.srcReg[ns] = r
-			if p := c.renameRob[r]; p != noProducer {
-				e.srcRob[ns] = p
-				e.srcSeq[ns] = c.renameSeq[r]
-			} else {
-				e.srcRob[ns] = noProducer
-			}
+		if rs&isa.ReadSrc2 != 0 {
+			c.rename(e, in.Src2)
 		}
-		e.nsrc = len(srcList)
+		if rs&isa.ReadDst != 0 {
+			c.rename(e, in.Dst)
+		}
 
-		if fs.in.WritesDst() {
-			c.renameRob[fs.in.Dst] = idx
-			c.renameSeq[fs.in.Dst] = e.seq
+		if in.WritesDst() {
+			c.renameRob[in.Dst] = idx
+			c.renameSeq[in.Dst] = e.seq
 		}
 		switch {
-		case fs.in.FU() == isa.FUNone: // Nop and Halt
+		case in.FU() == isa.FUNone: // Nop and Halt
 			e.done = true
 			e.readyCycle = c.cycle
 		default:
@@ -1448,7 +1450,7 @@ func (c *Core) dispatch() {
 			// wake queue. A store issues without its value.
 			c.iqLen++
 			need := e.nsrc
-			if fs.in.IsStore() {
+			if in.IsStore() {
 				need--
 			}
 			for k := 0; k < need; k++ {
@@ -1459,10 +1461,10 @@ func (c *Core) dispatch() {
 			if e.pending == 0 {
 				c.wakePush(e.wakeAt, idx)
 			}
-			if fs.in.IsLoad() {
+			if in.IsLoad() {
 				c.lqCount++
 			}
-			if fs.in.IsStore() {
+			if in.IsStore() {
 				c.sqCount++
 				if s := c.stores; len(s) > 0 {
 					s[uint(c.stHead+c.stLen)&uint(len(s)-1)] = idx
@@ -1471,6 +1473,22 @@ func (c *Core) dispatch() {
 			}
 		}
 	}
+}
+
+// rename makes register r the entry's next source, naming the ROB slot
+// and sequence number of its in-flight producer, or noProducer when the
+// committed register file holds its value.
+func (c *Core) rename(e *robEntry, r isa.Reg) {
+	k := e.nsrc & 3 // identity: an instruction reads at most 3 registers
+	e.srcReg[k] = r
+	if p := c.renameRob[r]; p != noProducer {
+		e.srcRob[k] = p
+		e.srcSeq[k] = c.renameSeq[r]
+	} else {
+		e.srcRob[k] = noProducer
+		e.srcSeq[k] = 0
+	}
+	e.nsrc++
 }
 
 // ---- fetch ----
@@ -1488,7 +1506,7 @@ func (c *Core) fetch() {
 		}
 		pc := c.fetchPC
 		in := c.prog.At(pc)
-		fs := fetchSlot{pc: pc, in: in, hist: c.ghr, readyAt: c.cycle + uint64(c.cfg.FrontendDepth)}
+		fs := fetchSlot{pc: pc, hist: c.ghr, readyAt: c.cycle + uint64(c.cfg.FrontendDepth)}
 		switch {
 		case in.IsHalt():
 			c.fetchStopped = true

@@ -155,22 +155,9 @@ func (in Instr) IsHalt() bool { return in.Op == Halt }
 // WritesDst reports whether the instruction produces a register result.
 func (in Instr) WritesDst() bool { return in.Op.info().writes }
 
-// Sources appends the architectural registers the instruction reads to dst
-// and returns the extended slice, in Src1, Src2, store-value order; at
-// most 3, so a caller's cap-3 scratch never grows.
-func (in Instr) Sources(dst []Reg) []Reg {
-	r := in.Op.info().reads
-	if r&readSrc1 != 0 {
-		dst = append(dst, in.Src1)
-	}
-	if r&readSrc2 != 0 {
-		dst = append(dst, in.Src2)
-	}
-	if r&readDst != 0 {
-		dst = append(dst, in.Dst)
-	}
-	return dst
-}
+// Reads returns the register fields the instruction reads as data
+// sources, without listing them.
+func (in Instr) Reads() ReadSet { return in.Op.info().reads }
 
 // FU returns the functional-unit class for the instruction.
 func (in Instr) FU() FUClass { return in.Op.info().fu }
@@ -181,21 +168,23 @@ func (in Instr) FU() FUClass { return in.Op.info().fu }
 type opInfo struct {
 	name   string
 	fu     FUClass
-	reads  readSet
+	reads  ReadSet
 	writes bool
 }
 
-// readSet names the register fields an instruction reads as data sources.
-type readSet uint8
+// ReadSet names the register fields an instruction reads as data
+// sources: a bit for each of Src1, Src2 and Dst (a store's value).
+type ReadSet uint8
 
+// The fields of a ReadSet.
 const (
-	readSrc1 readSet = 1 << iota
-	readSrc2
-	readDst // a store's value register
+	ReadSrc1 ReadSet = 1 << iota
+	ReadSrc2
+	ReadDst // a store's value register
 
-	readNone  readSet = 0
-	readRR            = readSrc1 | readSrc2 // register-register ops, loads, conditional branches
-	readStore         = readRR | readDst    // base, index, value
+	readNone  ReadSet = 0
+	readRR            = ReadSrc1 | ReadSrc2 // register-register ops, loads, conditional branches
+	readStore         = readRR | ReadDst    // base, index, value
 )
 
 // opTable is the single source of every opcode's facts. vrlint's
@@ -216,16 +205,16 @@ var opTable = [numOps]opInfo{
 	Min:  {"min", FUIntALU, readRR, true},
 	Max:  {"max", FUIntALU, readRR, true},
 
-	AddI: {"addi", FUIntALU, readSrc1, true},
-	AndI: {"andi", FUIntALU, readSrc1, true},
-	OrI:  {"ori", FUIntALU, readSrc1, true},
-	XorI: {"xori", FUIntALU, readSrc1, true},
-	ShlI: {"shli", FUIntALU, readSrc1, true},
-	ShrI: {"shri", FUIntALU, readSrc1, true},
-	SltI: {"slti", FUIntALU, readSrc1, true},
+	AddI: {"addi", FUIntALU, ReadSrc1, true},
+	AndI: {"andi", FUIntALU, ReadSrc1, true},
+	OrI:  {"ori", FUIntALU, ReadSrc1, true},
+	XorI: {"xori", FUIntALU, ReadSrc1, true},
+	ShlI: {"shli", FUIntALU, ReadSrc1, true},
+	ShrI: {"shri", FUIntALU, ReadSrc1, true},
+	SltI: {"slti", FUIntALU, ReadSrc1, true},
 
 	Li:  {"li", FUIntALU, readNone, true},
-	Mov: {"mov", FUIntALU, readSrc1, true},
+	Mov: {"mov", FUIntALU, ReadSrc1, true},
 
 	Mul: {"mul", FUIntMul, readRR, true},
 	Div: {"div", FUIntDiv, readRR, true},
@@ -236,8 +225,8 @@ var opTable = [numOps]opInfo{
 	FMul: {"fmul", FUFPMul, readRR, true},
 	FDiv: {"fdiv", FUFPDiv, readRR, true},
 	FSlt: {"fslt", FUFPAdd, readRR, true},
-	ItoF: {"itof", FUFPAdd, readSrc1, true},
-	FtoI: {"ftoi", FUFPAdd, readSrc1, true},
+	ItoF: {"itof", FUFPAdd, ReadSrc1, true},
+	FtoI: {"ftoi", FUFPAdd, ReadSrc1, true},
 
 	Ld: {"ld", FUMem, readRR, true},
 	St: {"st", FUMem, readStore, false},
@@ -255,7 +244,7 @@ var opTable = [numOps]opInfo{
 // unknownOp answers for an Op at or above numOps, which no Builder method
 // emits: an integer ALU op reading Src1 and writing Dst, printed as
 // op(N) — the answers the per-fact switches gave before the table.
-var unknownOp = opInfo{fu: FUIntALU, reads: readSrc1, writes: true}
+var unknownOp = opInfo{fu: FUIntALU, reads: ReadSrc1, writes: true}
 
 // info returns the opcode's row of opTable.
 func (o Op) info() *opInfo {
@@ -278,11 +267,17 @@ type Program struct {
 // Len returns the number of instructions.
 func (p *Program) Len() int { return len(p.Instrs) }
 
-// At returns the instruction at pc. Out-of-range PCs return Halt so a
-// runaway speculative fetch self-terminates.
-func (p *Program) At(pc int) Instr {
-	if pc < 0 || pc >= len(p.Instrs) {
-		return Instr{Op: Halt}
+// haltInstr is the instruction At returns for a PC outside the program.
+var haltInstr = Instr{Op: Halt}
+
+// At returns the instruction at pc, in place: the pointer is into the
+// program's instruction array, which every core, engine and interpreter
+// running the program shares, so nothing writes through it.
+// Out-of-range PCs return a Halt so a runaway speculative fetch
+// self-terminates.
+func (p *Program) At(pc int) *Instr {
+	if uint(pc) >= uint(len(p.Instrs)) {
+		return &haltInstr
 	}
-	return p.Instrs[pc]
+	return &p.Instrs[pc]
 }

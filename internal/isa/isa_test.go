@@ -59,7 +59,7 @@ func TestALUResultBasics(t *testing.T) {
 		{Instr{Op: Rem}, 9, 0, 9},
 	}
 	for _, c := range cases {
-		if got := ALUResult(c.in, c.a, c.b); got != c.want {
+		if got := ALUResult(&c.in, c.a, c.b); got != c.want {
 			t.Errorf("%s(%d,%d) = %d, want %d", c.in.Op, c.a, c.b, got, c.want)
 		}
 	}
@@ -67,22 +67,22 @@ func TestALUResultBasics(t *testing.T) {
 
 func TestFloatOps(t *testing.T) {
 	f := math.Float64bits
-	if got := ALUResult(Instr{Op: FAdd}, f(1.5), f(2.25)); got != f(3.75) {
+	if got := ALUResult(&Instr{Op: FAdd}, f(1.5), f(2.25)); got != f(3.75) {
 		t.Errorf("fadd = %v", math.Float64frombits(got))
 	}
-	if got := ALUResult(Instr{Op: FMul}, f(3), f(4)); got != f(12) {
+	if got := ALUResult(&Instr{Op: FMul}, f(3), f(4)); got != f(12) {
 		t.Errorf("fmul = %v", math.Float64frombits(got))
 	}
-	if got := ALUResult(Instr{Op: FDiv}, f(1), f(4)); got != f(0.25) {
+	if got := ALUResult(&Instr{Op: FDiv}, f(1), f(4)); got != f(0.25) {
 		t.Errorf("fdiv = %v", math.Float64frombits(got))
 	}
-	if got := ALUResult(Instr{Op: FSlt}, f(1), f(2)); got != 1 {
+	if got := ALUResult(&Instr{Op: FSlt}, f(1), f(2)); got != 1 {
 		t.Errorf("fslt(1,2) = %d", got)
 	}
-	if got := ALUResult(Instr{Op: ItoF}, negU64(3), 0); got != f(-3) {
+	if got := ALUResult(&Instr{Op: ItoF}, negU64(3), 0); got != f(-3) {
 		t.Errorf("itof = %v", math.Float64frombits(got))
 	}
-	if got := ALUResult(Instr{Op: FtoI}, f(-3.7), 0); got != negU64(3) {
+	if got := ALUResult(&Instr{Op: FtoI}, f(-3.7), 0); got != negU64(3) {
 		t.Errorf("ftoi = %d", int64(got))
 	}
 }
@@ -104,7 +104,7 @@ func TestBranchTaken(t *testing.T) {
 		{Add, 1, 1, false}, // non-branch never taken
 	}
 	for _, c := range cases {
-		if got := BranchTaken(Instr{Op: c.op}, c.a, c.b); got != c.want {
+		if got := BranchTaken(&Instr{Op: c.op}, c.a, c.b); got != c.want {
 			t.Errorf("%s(%d,%d) taken = %v, want %v", c.op, c.a, c.b, got, c.want)
 		}
 	}
@@ -112,11 +112,11 @@ func TestBranchTaken(t *testing.T) {
 
 func TestEffAddr(t *testing.T) {
 	in := Instr{Op: Ld, Scale: 3, Imm: 16}
-	if got := EffAddr(in, 1000, 5); got != 1000+40+16 {
+	if got := EffAddr(&in, 1000, 5); got != 1000+40+16 {
 		t.Errorf("EffAddr = %d", got)
 	}
 	in = Instr{Op: Ld, Scale: 0, Imm: -8}
-	if got := EffAddr(in, 1000, 0); got != 992 {
+	if got := EffAddr(&in, 1000, 0); got != 992 {
 		t.Errorf("EffAddr neg disp = %d", got)
 	}
 }
@@ -125,8 +125,8 @@ func TestEffAddr(t *testing.T) {
 // independent of the package's opcode table.
 type opFacts struct {
 	fu FUClass
-	// reads lists the register fields read as sources, in the order
-	// Sources reports them: 1 = Src1, 2 = Src2, d = Dst.
+	// reads lists the register fields read as sources: 1 = Src1,
+	// 2 = Src2, d = Dst.
 	reads  string
 	writes bool // writes Dst
 	// class is "ld", "st", "jmp" (unconditional branch), "br"
@@ -217,25 +217,23 @@ func factOps() []Op {
 	return append(ops, numOps, 200, 255)
 }
 
-// factInstr is an instruction with distinct register fields, so the
-// registers Sources reports name the fields they came from.
+// factInstr is an instruction with distinct register fields.
 func factInstr(op Op) Instr { return Instr{Op: op, Dst: 13, Src1: 5, Src2: 9} }
 
-// wantSources renders a reads string as the registers of factInstr.
-func wantSources(reads string) []Reg {
-	in := factInstr(Nop)
-	var regs []Reg
+// wantReads renders a reads string as a ReadSet.
+func wantReads(reads string) ReadSet {
+	var rs ReadSet
 	for _, f := range reads {
 		switch f {
 		case '1':
-			regs = append(regs, in.Src1)
+			rs |= ReadSrc1
 		case '2':
-			regs = append(regs, in.Src2)
+			rs |= ReadSrc2
 		case 'd':
-			regs = append(regs, in.Dst)
+			rs |= ReadDst
 		}
 	}
-	return regs
+	return rs
 }
 
 func TestClassification(t *testing.T) {
@@ -264,17 +262,8 @@ func TestClassification(t *testing.T) {
 
 func TestSources(t *testing.T) {
 	for _, op := range factOps() {
-		want := wantSources(factsFor(t, op).reads)
-		got := factInstr(op).Sources(nil)
-		if len(got) != len(want) {
-			t.Errorf("%v: Sources = %v, want %v", op, got, want)
-			continue
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("%v: Sources = %v, want %v", op, got, want)
-				break
-			}
+		if got, want := factInstr(op).Reads(), wantReads(factsFor(t, op).reads); got != want {
+			t.Errorf("%v: Reads = %03b, want %03b", op, got, want)
 		}
 	}
 }
@@ -379,8 +368,8 @@ func TestProgramAtOutOfRange(t *testing.T) {
 	if !p.At(-1).IsHalt() || !p.At(5).IsHalt() {
 		t.Error("out-of-range fetch must return Halt")
 	}
-	if p.At(0).Op != Add {
-		t.Error("in-range fetch wrong")
+	if p.At(0) != &p.Instrs[0] {
+		t.Error("in-range fetch must return the program's own instruction")
 	}
 }
 
@@ -418,7 +407,7 @@ func TestALUProperties(t *testing.T) {
 	}
 	for _, c := range checks {
 		f := func(p pair) bool {
-			return ALUResult(Instr{Op: c.op}, p.A, p.B) == c.want(p.A, p.B)
+			return ALUResult(&Instr{Op: c.op}, p.A, p.B) == c.want(p.A, p.B)
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("%s: %v", c.name, err)
@@ -429,8 +418,8 @@ func TestALUProperties(t *testing.T) {
 // Property: Slt/Blt agree: the set-less-than result predicts the branch.
 func TestSltBltAgree(t *testing.T) {
 	f := func(a, b uint64) bool {
-		slt := ALUResult(Instr{Op: Slt}, a, b)
-		return (slt == 1) == BranchTaken(Instr{Op: Blt}, a, b)
+		slt := ALUResult(&Instr{Op: Slt}, a, b)
+		return (slt == 1) == BranchTaken(&Instr{Op: Blt}, a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -442,7 +431,7 @@ func TestEffAddrProperty(t *testing.T) {
 	f := func(base, idx uint64, scale uint8, disp int32) bool {
 		s := scale % 4
 		in := Instr{Op: Ld, Scale: s, Imm: int64(disp)}
-		return EffAddr(in, base, idx) == base+(idx<<s)+uint64(int64(disp))
+		return EffAddr(&in, base, idx) == base+(idx<<s)+uint64(int64(disp))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -472,46 +461,5 @@ func TestBuildRejectsRZeroWrites(t *testing.T) {
 	b3.Halt()
 	if _, err := b3.Build(); err != nil {
 		t.Fatalf("valid program rejected: %v", err)
-	}
-}
-
-// TestSourcesBoundedOverEveryOpcode pins why (Instr).Sources is
-// allocation-free: for every opcode it appends at most 3 registers and
-// never grows past a caller-provided capacity of 3, so a caller reusing a
-// cap-3 scratch slice allocates nothing. TestSources checks which
-// registers it appends.
-func TestSourcesBoundedOverEveryOpcode(t *testing.T) {
-	for _, op := range factOps() {
-		want := len(factsFor(t, op).reads)
-		buf := make([]Reg, 0, 3)
-		out := factInstr(op).Sources(buf)
-		if len(out) != want {
-			t.Errorf("%v: Sources appended %d regs (%v), want %d", op, len(out), out, want)
-		}
-		if len(out) > 3 {
-			t.Errorf("%v: Sources appended %d regs, above the documented bound of 3", op, len(out))
-		}
-		// No growth: append within cap keeps the caller's backing array.
-		if cap(out) != cap(buf) {
-			t.Errorf("%v: Sources grew the slice (cap %d -> %d); callers rely on zero-alloc reuse", op, cap(buf), cap(out))
-		}
-		if len(out) > 0 && &out[0] != &buf[:1][0] {
-			t.Errorf("%v: Sources reallocated the caller's backing array", op)
-		}
-	}
-}
-
-// TestSourcesAllocFree measures the claim directly: with a cap-3 scratch,
-// Sources performs zero allocations for any opcode.
-func TestSourcesAllocFree(t *testing.T) {
-	buf := make([]Reg, 0, 3)
-	allocs := testing.AllocsPerRun(100, func() {
-		for op := Op(0); op < numOps; op++ {
-			in := Instr{Op: op, Dst: 13, Src1: 5, Src2: 9}
-			buf = in.Sources(buf[:0])
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Sources allocated %.1f times per sweep over all opcodes; want 0", allocs)
 	}
 }

@@ -4,7 +4,7 @@ import "math"
 
 // EffAddr computes the effective address of a memory instruction given the
 // values of its base (Src1) and index (Src2) registers.
-func EffAddr(in Instr, base, index uint64) uint64 {
+func EffAddr(in *Instr, base, index uint64) uint64 {
 	return base + (index << in.Scale) + uint64(in.Imm)
 }
 
@@ -14,7 +14,7 @@ func EffAddr(in Instr, base, index uint64) uint64 {
 //
 // Division by zero is well-defined (quotient 0, remainder = dividend) so
 // that transient runahead execution over garbage values never traps.
-func ALUResult(in Instr, a, b uint64) uint64 {
+func ALUResult(in *Instr, a, b uint64) uint64 {
 	switch in.Op {
 	case Add:
 		return a + b
@@ -98,7 +98,7 @@ func ALUResult(in Instr, a, b uint64) uint64 {
 
 // BranchTaken evaluates a conditional branch's condition from its source
 // values. Jmp is always taken; non-branches are never taken.
-func BranchTaken(in Instr, a, b uint64) bool {
+func BranchTaken(in *Instr, a, b uint64) bool {
 	switch in.Op {
 	case Beq:
 		return a == b

@@ -143,7 +143,7 @@ func (k *Checker) OnCommit(ev cpu.CommitEvent) {
 		return
 	}
 	in := it.Prog.At(it.PC)
-	if ev.In != in {
+	if ev.In != *in {
 		k.fail("instr", uint64(ev.In.Op), uint64(in.Op), ev)
 		return
 	}

@@ -138,7 +138,7 @@ func liProgram() *isa.Program {
 func TestSeqMustIncrease(t *testing.T) {
 	prog := liProgram()
 	k := oracle.NewChecker(prog, mem.NewBacking(), nil)
-	ev := cpu.CommitEvent{Seq: 1, PC: 0, In: prog.At(0), WroteReg: true, Dst: 1, Val: 7}
+	ev := cpu.CommitEvent{Seq: 1, PC: 0, In: *prog.At(0), WroteReg: true, Dst: 1, Val: 7}
 	k.OnCommit(ev)
 	if err := k.Err(); err != nil {
 		t.Fatalf("valid first commit rejected: %v", err)
@@ -155,7 +155,7 @@ func TestSeqMustIncrease(t *testing.T) {
 func TestCommitDuringHold(t *testing.T) {
 	prog := liProgram()
 	k := oracle.NewChecker(prog, mem.NewBacking(), func() bool { return true })
-	k.OnCommit(cpu.CommitEvent{Seq: 1, PC: 0, In: prog.At(0), WroteReg: true, Dst: 1, Val: 7})
+	k.OnCommit(cpu.CommitEvent{Seq: 1, PC: 0, In: *prog.At(0), WroteReg: true, Dst: 1, Val: 7})
 	var div *oracle.Divergence
 	if err := k.Err(); !errors.As(err, &div) || div.Field != "hold" {
 		t.Fatalf("commit during hold not flagged: %v", err)
@@ -167,12 +167,12 @@ func TestCommitDuringHold(t *testing.T) {
 func TestDivergenceLatches(t *testing.T) {
 	prog := liProgram()
 	k := oracle.NewChecker(prog, mem.NewBacking(), nil)
-	k.OnCommit(cpu.CommitEvent{Seq: 1, PC: 5, In: prog.At(0)}) // wrong PC
+	k.OnCommit(cpu.CommitEvent{Seq: 1, PC: 5, In: *prog.At(0)}) // wrong PC
 	first := k.Err()
 	if first == nil {
 		t.Fatal("wrong-PC commit accepted")
 	}
-	k.OnCommit(cpu.CommitEvent{Seq: 2, PC: 0, In: prog.At(0), WroteReg: true, Dst: 1, Val: 7})
+	k.OnCommit(cpu.CommitEvent{Seq: 2, PC: 0, In: *prog.At(0), WroteReg: true, Dst: 1, Val: 7})
 	if again := k.Err(); again != first {
 		t.Fatalf("divergence did not latch: %v then %v", first, again)
 	}
@@ -184,9 +184,9 @@ func TestDivergenceLatches(t *testing.T) {
 func TestFinalCatchesRegisterDrift(t *testing.T) {
 	prog := liProgram()
 	k := oracle.NewChecker(prog, mem.NewBacking(), nil)
-	k.OnCommit(cpu.CommitEvent{Seq: 1, PC: 0, In: prog.At(0), WroteReg: true, Dst: 1, Val: 7})
-	k.OnCommit(cpu.CommitEvent{Seq: 2, PC: 1, In: prog.At(1), WroteReg: true, Dst: 2, Val: 9})
-	k.OnCommit(cpu.CommitEvent{Seq: 3, PC: 2, In: prog.At(2)})
+	k.OnCommit(cpu.CommitEvent{Seq: 1, PC: 0, In: *prog.At(0), WroteReg: true, Dst: 1, Val: 7})
+	k.OnCommit(cpu.CommitEvent{Seq: 2, PC: 1, In: *prog.At(1), WroteReg: true, Dst: 2, Val: 9})
+	k.OnCommit(cpu.CommitEvent{Seq: 3, PC: 2, In: *prog.At(2)})
 	var regs [isa.NumRegs]uint64
 	regs[1], regs[2] = 7, 9
 	if err := k.Final(regs, true); err != nil {
@@ -194,9 +194,9 @@ func TestFinalCatchesRegisterDrift(t *testing.T) {
 	}
 	// Fresh checker, same stream, corrupted final file.
 	k = oracle.NewChecker(prog, mem.NewBacking(), nil)
-	k.OnCommit(cpu.CommitEvent{Seq: 1, PC: 0, In: prog.At(0), WroteReg: true, Dst: 1, Val: 7})
-	k.OnCommit(cpu.CommitEvent{Seq: 2, PC: 1, In: prog.At(1), WroteReg: true, Dst: 2, Val: 9})
-	k.OnCommit(cpu.CommitEvent{Seq: 3, PC: 2, In: prog.At(2)})
+	k.OnCommit(cpu.CommitEvent{Seq: 1, PC: 0, In: *prog.At(0), WroteReg: true, Dst: 1, Val: 7})
+	k.OnCommit(cpu.CommitEvent{Seq: 2, PC: 1, In: *prog.At(1), WroteReg: true, Dst: 2, Val: 9})
+	k.OnCommit(cpu.CommitEvent{Seq: 3, PC: 2, In: *prog.At(2)})
 	regs[2] = 10
 	if err := k.Final(regs, true); !errors.Is(err, oracle.ErrDivergence) {
 		t.Fatalf("register drift not flagged: %v", err)
@@ -208,7 +208,7 @@ func TestFinalCatchesRegisterDrift(t *testing.T) {
 func TestDivergenceRendering(t *testing.T) {
 	prog := liProgram()
 	k := oracle.NewChecker(prog, mem.NewBacking(), nil)
-	k.OnCommit(cpu.CommitEvent{Seq: 1, Cycle: 42, PC: 5, In: prog.At(0)})
+	k.OnCommit(cpu.CommitEvent{Seq: 1, Cycle: 42, PC: 5, In: *prog.At(0)})
 	msg := k.Err().Error()
 	for _, want := range []string{"core:", "oracle:", "cycle=42", "pc=5"} {
 		if !strings.Contains(msg, want) {
