@@ -1154,9 +1154,10 @@ func (c *Core) tryIssue(slot int, e *robEntry) bool {
 			e.val = fwdVal
 			e.readyCycle = c.cycle + c.cfg.FULatency[isa.FUMem]
 		} else {
-			res := c.hier.Access(c.cycle, e.pc, addr, false, mem.ClassDemand, mem.SrcDemand)
+			// The functional read goes first: it often misses in the
+			// host's caches, and the timed access overlaps that miss.
 			e.val = c.data.Load(addr)
-			e.readyCycle = res.Done
+			e.readyCycle = c.hier.Access(c.cycle, e.pc, addr, false, mem.ClassDemand, mem.SrcDemand).Done
 		}
 		e.done = true
 		c.ldPos[slot] = c.ldLen
