@@ -117,7 +117,10 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 // TestRecycledCellsConcurrent runs cells of two workloads on several
 // goroutines at once, so hierarchies and pages pass between cells that
 // overlap in time and several backings of one image take and release
-// pages together. Every result must match the cell's fresh run.
+// pages together. The cells cover every runahead walker (PRE, classic
+// runahead and VR) and the oracle's interpreter, which all read the
+// shared programs' instructions in place. Every result must match the
+// cell's fresh run.
 func TestRecycledCellsConcurrent(t *testing.T) {
 	var ws []*workloads.Workload
 	for _, w := range smallWorkloads() {
@@ -125,16 +128,27 @@ func TestRecycledCellsConcurrent(t *testing.T) {
 			ws = append(ws, w)
 		}
 	}
-	techs := []Technique{TechOoO, TechVR, TechPRE}
-	config := func(tech Technique) RunConfig {
-		rc := DefaultRunConfig(tech)
+	type variant struct {
+		tech  Technique
+		check bool
+	}
+	variants := []variant{{TechOoO, false}, {TechVR, false}, {TechPRE, false}, {TechRA, false}, {TechPRE, true}}
+	config := func(v variant) RunConfig {
+		rc := DefaultRunConfig(v.tech)
 		rc.MaxBudget = timingGoldenBudget
+		rc.Check = v.check
 		return rc
+	}
+	name := func(w *workloads.Workload, v variant) string {
+		if v.check {
+			return w.Name + "/" + string(v.tech) + "/check"
+		}
+		return w.Name + "/" + string(v.tech)
 	}
 	want := map[string]string{}
 	for _, w := range ws {
-		for _, tech := range techs {
-			in, err := newInstance(w, config(tech))
+		for _, v := range variants {
+			in, err := newInstance(w, config(v))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +156,7 @@ func TestRecycledCellsConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[w.Name+"/"+string(tech)] = canonicalResult(t, r)
+			want[name(w, v)] = canonicalResult(t, r)
 		}
 	}
 	var wg sync.WaitGroup
@@ -151,8 +165,8 @@ func TestRecycledCellsConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				w, tech := ws[(g+i)%len(ws)], techs[(g+2*i)%len(techs)]
-				r, err := Run(w, config(tech))
+				w, v := ws[(g+i)%len(ws)], variants[(g+2*i)%len(variants)]
+				r, err := Run(w, config(v))
 				if err != nil {
 					t.Error(err)
 					return
@@ -162,7 +176,7 @@ func TestRecycledCellsConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if key := w.Name + "/" + string(tech); string(b) != want[key] {
+				if key := name(w, v); string(b) != want[key] {
 					t.Errorf("%s on goroutine %d, run %d: the recycled cell differs from the fresh one", key, g, i)
 				}
 			}
