@@ -71,7 +71,7 @@ func WriteImage(w io.Writer, meta []byte, img *Image) error {
 	head := 8*(imageHeaderWords+len(pns)) + len(meta)
 	_, _ = bw.Write(make([]byte, alignPage(head)-head))
 	for _, p := range ps {
-		put(p[:]...)
+		_, _ = bw.Write(pageView(p))
 	}
 	return bw.Flush()
 }
@@ -137,4 +137,11 @@ func MapImage(path string) (meta []byte, img *Image, err error) {
 		r[pn&(regionPages-1)] = (*page)(body[i*PageWords : (i+1)*PageWords])
 	}
 	return slices.Clone(data[head-int(m) : head]), img, nil
+}
+
+// pageView returns p's bytes, its words in host byte order: the one
+// conversion from a page to bytes, the way back from MapImage's, so that
+// WriteImage writes a page whole.
+func pageView(p *page) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(p)), pageBytes)
 }
