@@ -104,6 +104,10 @@ func (c *Core) CheckInvariants() error {
 	return c.checkScheduler()
 }
 
+// tallyOnStack is the largest reorder buffer whose scheduler recount
+// keeps its tallies on the stack: every ROB size the experiments sweep.
+const tallyOnStack = 512
+
 // checkScheduler validates the event-driven scheduler. Every unissued
 // instruction waits in exactly one place: on its producers, with a
 // pending count equal both to its required sources whose producer has
@@ -121,8 +125,16 @@ func (c *Core) checkScheduler() error {
 	if c.wakeLen < 0 || c.wakeLen > len(c.wakeq) {
 		return fmt.Errorf("wake queue holds %d entries, capacity %d", c.wakeLen, len(c.wakeq))
 	}
-	queued := make([]int, n) // wake-queue and ready-list entries per slot
-	links := make([]int, n)  // dependent-list links per consumer slot
+	// Per-slot tallies of wake-queue and ready-list entries, and of
+	// dependent-list links naming the slot as consumer. They live on the
+	// stack for every window up to tallyOnStack entries, so a sweep
+	// allocates nothing; a larger window allocates them each sweep.
+	var onStack [2 * tallyOnStack]int
+	tally := onStack[:]
+	if 2*n > len(tally) {
+		tally = make([]int, 2*n)
+	}
+	queued, links := tally[:n], tally[n:2*n]
 	var prevSeq uint64
 	for i, s := range c.ready[:c.readyLen] {
 		if !live(s) {

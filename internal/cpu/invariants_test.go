@@ -109,6 +109,49 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsAllocFree: a sweep over a populated window allocates
+// nothing, at the default ROB size and at the largest whose tallies stay
+// on the stack, and a sweep every cycle leaves the run as it was.
+func TestCheckInvariantsAllocFree(t *testing.T) {
+	for _, rob := range []int{DefaultConfig().ROBSize, tallyOnStack} {
+		cfg := DefaultConfig()
+		cfg.ROBSize = rob
+		core := func() *Core {
+			data := mem.NewBacking()
+			h := mem.MustHierarchy(mem.DefaultConfig())
+			h.Data = data
+			return New(cfg, invLoopProgram(), data, h)
+		}
+
+		c := core()
+		if err := c.Run(300); err != nil {
+			t.Fatal(err)
+		}
+		if c.count == 0 || c.halted {
+			t.Fatalf("ROB %d: no window to sweep (count %d, halted %v)", rob, c.count, c.halted)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("ROB %d: a sweep allocated %.1f times, want 0", rob, allocs)
+		}
+
+		checked, plain := core(), core()
+		if err := checked.RunChecked(0, 1, checked.CheckInvariants); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if checked.Stats != plain.Stats || checked.ArchRegs() != plain.ArchRegs() {
+			t.Errorf("ROB %d: sweeping every cycle changed the run: %+v, unchecked %+v", rob, checked.Stats, plain.Stats)
+		}
+	}
+}
+
 // waitingSlot returns the ROB slot of the oldest instruction waiting on an
 // unissued producer, or -1.
 func waitingSlot(c *Core) int {
