@@ -325,7 +325,7 @@ func (v *VR) step(c *cpu.Core) int {
 			}
 			return v.vectorize(c, in)
 		}
-		if v.anyTaintedSource(in) {
+		if readsAny(in, &v.taint) { // it reads a vectorized register
 			return v.vecStep(c, in)
 		}
 		// Scalar instruction inside the chain: a scalar write to a
@@ -544,11 +544,6 @@ func (v *VR) gather(c *cpu.Core, in *isa.Instr, addrs []uint64) int {
 	}
 	v.Stats.VectorUops += uint64(cost)
 	return cost
-}
-
-// anyTaintedSource reports whether in reads a tainted (vectorized) register.
-func (v *VR) anyTaintedSource(in *isa.Instr) bool {
-	return readsAny(in, &v.taint)
 }
 
 // laneVal reads source register r for lane i, broadcasting scalars.

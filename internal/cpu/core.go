@@ -1487,7 +1487,6 @@ func (c *Core) rename(e *robEntry, r isa.Reg) {
 		e.srcSeq[k] = c.renameSeq[r]
 	} else {
 		e.srcRob[k] = noProducer
-		e.srcSeq[k] = 0
 	}
 	e.nsrc++
 }
