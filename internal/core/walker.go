@@ -63,13 +63,14 @@ func newWalker(c *cpu.Core) walker {
 // fetch returns the instruction at the walker's PC, in place.
 func (w *walker) fetch() *isa.Instr { return w.prog.At(w.pc) }
 
-// srcOK reports whether every register in reads is valid, and returns
-// the values of its Src1 and Src2.
+// srcOK reports whether every register the instruction reads is valid,
+// and returns the values of its Src1 and Src2.
 func (w *walker) srcOK(in *isa.Instr) (a, b uint64, ok bool) {
 	return w.regs[in.Src1], w.regs[in.Src2], readsAll(in, &w.valid)
 }
 
-// readsAll reports whether set holds every register in reads.
+// readsAll reports whether set is true for every register the
+// instruction reads.
 func readsAll(in *isa.Instr, set *[regSpace]bool) bool {
 	rs := in.Reads()
 	return (rs&isa.ReadSrc1 == 0 || set[in.Src1]) &&
@@ -77,7 +78,8 @@ func readsAll(in *isa.Instr, set *[regSpace]bool) bool {
 		(rs&isa.ReadDst == 0 || set[in.Dst])
 }
 
-// readsAny reports whether set holds some register in reads.
+// readsAny reports whether set is true for some register the instruction
+// reads.
 func readsAny(in *isa.Instr, set *[regSpace]bool) bool {
 	rs := in.Reads()
 	return rs&isa.ReadSrc1 != 0 && set[in.Src1] ||
